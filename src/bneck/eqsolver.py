@@ -11,8 +11,17 @@ argument for symmetric equilibria in anonymous stationary strategies:
 (c) otherwise the gap changes sign; every sign change is refined by
     bisection and the root is selected by policy.
 
+Case (b) is usually settled without a scan by the no-entry certificate:
+at k >= 1 entering costs at least k*w and waiting at most 1 + max(cont),
+so k*w > 1 + max(cont) makes the gap positive for every q.
+
 For k = 0 the waiting cost diverges as q -> 0+, so a negative-gap lower
 scan endpoint always exists and is found by halving from 1/(m-1).
+
+Backward induction visits states m-major (m ascending, then k ascending):
+(m, k) needs only (m, k-1) and states with fewer agents outside.  All
+k >= 1 states of one m share one scan grid, so its binomial matrix is built
+once per m.  Solved costs live in a dense (n+1) x (n+1) array.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .model import (
     GameParams,
     InvalidParameterError,
     QueueState,
+    _binom_consts,
     _binom_matrix,
     _binom_row,
     cost_enter,
@@ -59,6 +69,11 @@ DEFAULT_GRID_POINTS = 512
 DEFAULT_TOL = 1e-12
 _MAX_BISECT = 200
 _MIN_BRACKET = 1e-300
+_SCAN_LO = 1e-12  # lower scan endpoint above q = 0 at k >= 1
+# relative slack of the no-entry certificate; it exceeds the rounding of the
+# scan's binomial rows, so a certified state also has a positive gap at every
+# scan point and the certificate returns exactly what the scan would
+_CERT_MARGIN = 1e-9
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -97,20 +112,41 @@ def indifference_gap(
     return cost_enter(state, q, w) - cost_wait(state, q, w, continuation)
 
 
+class _BinomRows:
+    """Binomial(m-1, q) pmf rows for every state with m agents outside."""
+
+    def __init__(self, m: int, grid_points: int):
+        self.m = m
+        self.grid_points = grid_points
+        self._consts = _binom_consts(m - 1)
+        self._scan = None
+
+    def row(self, q: float) -> np.ndarray:
+        return _binom_row(self.m - 1, q, self._consts)
+
+    def scan(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The k >= 1 scan grid and its pmf matrix, built on first use."""
+        if self._scan is None:
+            grid = _scan_grid(self.m, 1, _SCAN_LO, self.grid_points)
+            self._scan = grid, _binom_matrix(self.m - 1, grid)
+        return self._scan
+
+
 class _GapEvaluator:
     """Vectorized enter-wait gap for one state against fixed continuations."""
 
-    def __init__(self, m: int, k: int, w: float, cont: np.ndarray):
+    def __init__(self, rows: _BinomRows, k: int, w: float, cont: np.ndarray):
         # cont[i] = continuation cost at (m-i, k+i-1); cont[0] unused for k=0
-        self.m, self.k, self.w = m, k, w
+        self.rows = rows
+        self.m, self.k, self.w = rows.m, k, w
         self.cont = cont
 
     def enter(self, qs: np.ndarray) -> np.ndarray:
         return (self.m - 1) / 2.0 * qs * self.w + self.k * self.w
 
-    def gap(self, qs: np.ndarray) -> np.ndarray:
+    def gap(self, qs: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Gap at every q of ``qs``, given B = _binom_matrix(m-1, qs)."""
         m, k = self.m, self.k
-        B = _binom_matrix(m - 1, qs)
         if k >= 1:
             wait = 1.0 + B @ self.cont
         else:
@@ -120,12 +156,20 @@ class _GapEvaluator:
 
     def gap_scalar(self, q: float) -> float:
         m, k = self.m, self.k
-        row = _binom_row(m - 1, q)
+        row = self.rows.row(q)
         if k >= 1:
             wait = 1.0 + float(row @ self.cont)
         else:
             wait = (1.0 + float(row[1:] @ self.cont[1:])) / one_minus_pow(q, m - 1)
         return float(self.enter(q) - wait)
+
+
+def _certifies_no_entry(k: int, w: float, cont: np.ndarray) -> bool:
+    """True when nobody enters at (m, k) for any peer entry probability.
+
+    At k >= 1 entering costs at least k*w and waiting at most 1 + max(cont).
+    """
+    return k >= 1 and k * w > (1.0 + float(cont.max())) * (1.0 + _CERT_MARGIN)
 
 
 def _bisect(ev: _GapEvaluator, a: float, b: float, fa: float, fb: float, tol: float):
@@ -156,15 +200,17 @@ def _scan_grid(m: int, k: int, lo: float, points: int) -> np.ndarray:
 
 
 def _solve_state_arrays(
-    m: int,
+    rows: _BinomRows,
     k: int,
     w: float,
     cont: np.ndarray,
     policy: RootPolicy,
-    grid_points: int,
     tol: float,
 ) -> Tuple[float, float, int, float]:
-    ev = _GapEvaluator(m, k, w, cont)
+    m = rows.m
+    if _certifies_no_entry(k, w, cont):
+        return 0.0, 1.0 + float(cont[0]), 0, 0.0
+    ev = _GapEvaluator(rows, k, w, cont)
     if k == 0:
         # push the lower endpoint down until waiting dominates entering
         lo = min(1.0, 1.0 / (m - 1))
@@ -172,10 +218,11 @@ def _solve_state_arrays(
         while flo >= 0.0 and lo > _MIN_BRACKET:
             lo *= 0.5
             flo = ev.gap_scalar(lo)
+        grid = _scan_grid(m, k, lo, rows.grid_points)
+        gaps = ev.gap(grid, _binom_matrix(m - 1, grid))
     else:
-        lo = 1e-12
-    grid = _scan_grid(m, k, lo, grid_points)
-    gaps = ev.gap(grid)
+        grid, B = rows.scan()
+        gaps = ev.gap(grid, B)
 
     roots: List[Tuple[float, float]] = []
     for j in np.nonzero(gaps == 0.0)[0]:
@@ -194,8 +241,7 @@ def _solve_state_arrays(
             # entering at least as good everywhere, q = 1 (w <= 2 at k = 0)
             return 1.0, float(ev.enter(1.0)), 0, float(gaps[-1])
         if k >= 1 and gaps.min() >= 0.0:
-            wait0 = 1.0 + float(_binom_row(m - 1, 0.0) @ cont)
-            return 0.0, wait0, 0, 0.0
+            return 0.0, 1.0 + float(cont[0]), 0, 0.0
         raise InternalInconsistencyError(
             f"no equilibrium case applies at state ({m},{k}) with w={w}"
         )
@@ -225,7 +271,8 @@ def solve_state(
             for i in range(m)
         ]
     )
-    q, c, count, _ = _solve_state_arrays(m, k, w, cont, policy, grid_points, tol)
+    rows = _BinomRows(m, grid_points)
+    q, c, count, _ = _solve_state_arrays(rows, k, w, cont, policy, tol)
     return q, c, count
 
 
@@ -242,20 +289,28 @@ def solve_equilibrium(
     the already-solved continuation states.
     """
     n, w = params.n, params.w
-    costs: Dict[QueueState, float] = {}
+    # cost[m, k] feeds the continuation gather; row m = 1 is the lone-agent
+    # rule.  solved[m][k] is (q, cost, root count, residual), read back below
+    # in enumerate_states order so the returned mappings keep that order.
+    cost = np.zeros((n + 1, n + 1))
+    cost[1] = np.arange(n + 1)
+    solved: List[List[Tuple[float, float, int, float]]] = [[] for _ in range(n + 1)]
+    solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
+    for m in range(2, n + 1):
+        rows = _BinomRows(m, grid_points)
+        idx = np.arange(m)
+        for k in range(n - m + 1):
+            cont = cost[m - idx, k - 1 + idx]
+            if k == 0:
+                cont[0] = 0.0
+            result = _solve_state_arrays(rows, k, w, cont, policy, tol)
+            cost[m, k] = result[1]
+            solved[m].append(result)
     profile: Dict[QueueState, float] = {}
+    costs: Dict[QueueState, float] = {}
     diags: Dict[QueueState, StateDiagnostics] = {}
     for state in enumerate_states(n):
-        m, k = state.m, state.k
-        if m == 1:
-            profile[state] = 1.0
-            costs[state] = float(k)
-            diags[state] = StateDiagnostics(root_count=0, residual=0.0)
-            continue
-        cont = np.array(
-            [costs[QueueState(m - i, k + i - 1)] if (k + i - 1) >= 0 else 0.0 for i in range(m)]
-        )
-        q, c, count, res = _solve_state_arrays(m, k, w, cont, policy, grid_points, tol)
+        q, c, count, res = solved[state.m][state.k]
         profile[state] = q
         costs[state] = c
         diags[state] = StateDiagnostics(root_count=count, residual=res)

@@ -181,7 +181,9 @@ def enumerate_states(n: int) -> List[QueueState]:
     """All states with m >= 1 and m + k <= n, by ascending (m+k, m).
 
     Every continuation state of (m, k) has total m+k-1 and therefore
-    precedes it, which is the order backward induction needs.
+    precedes it, so the cost recursions here and ``profile_cost_table`` can
+    walk states in this order.  ``solve_equilibrium`` does not: it visits
+    states m-major (see ``eqsolver``) and only reports them in this order.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -255,31 +257,38 @@ def binom_pmf(m: int, i: int, q: float) -> float:
     return math.ldexp(mant, ex)
 
 
-def _binom_row(m: int, q: float) -> np.ndarray:
-    """pmf over i = 0..m at a single q, log-space (internal fast path)."""
+def _binom_consts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """i, m - i and log C(m, i) for i = 0..m: the q-free part of a pmf row."""
+    lf = _logfact(m)
+    i = np.arange(m + 1)
+    return i, m - i, lf[m] - lf[i] - lf[m - i]
+
+
+def _binom_row(m: int, q: float, consts=None) -> np.ndarray:
+    """pmf over i = 0..m at a single q, log-space (internal fast path).
+
+    ``consts`` is ``_binom_consts(m)``, passed by callers that evaluate
+    many rows of one m.
+    """
     if q <= 0.0 or q >= 1.0:
         row = np.zeros(m + 1)
         row[m if q >= 1.0 else 0] = 1.0
         return row
-    lf = _logfact(m)
-    i = np.arange(m + 1)
-    logc = lf[m] - lf[i] - lf[m - i]
-    return np.exp(logc + i * math.log(q) + (m - i) * math.log1p(-q))
+    i, rest, logc = consts if consts is not None else _binom_consts(m)
+    return np.exp(logc + i * math.log(q) + rest * math.log1p(-q))
 
 
 def _binom_matrix(m: int, qs: np.ndarray) -> np.ndarray:
     """pmf rows for every q in qs; shape (len(qs), m+1)."""
     qs = np.asarray(qs, dtype=float)
-    lf = _logfact(m)
-    i = np.arange(m + 1)
-    logc = lf[m] - lf[i] - lf[m - i]
+    i, rest, logc = _binom_consts(m)
     interior = (qs > 0.0) & (qs < 1.0)
     safe = np.where(interior, qs, 0.5)
     with np.errstate(divide="ignore"):
         logv = (
             logc[None, :]
             + i[None, :] * np.log(safe)[:, None]
-            + (m - i)[None, :] * np.log1p(-safe)[:, None]
+            + rest[None, :] * np.log1p(-safe)[:, None]
         )
     out = np.exp(logv)
     if not interior.all():

@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from bneck.eqsolver import (
     RootPolicy,
+    _certifies_no_entry,
     eq_closed_form_2p,
     indifference_gap,
     profile_cost_table,
@@ -235,3 +237,59 @@ class TestAgainstBruteForce:
                 mine = sol.profile.q(s)
                 target = roots[0]  # SMALLEST_Q default
                 assert mine == pytest.approx(target, abs=1e-5)
+
+
+def _continuation(sol, s):
+    """cont[i] = c(m-i, k+i-1) from the solution's own cost table (0 at k+i-1 < 0)."""
+    return [
+        sol.per_player[S(s.m - i, s.k + i - 1)] if s.k + i - 1 >= 0 else 0.0
+        for i in range(s.m)
+    ]
+
+
+class TestStandaloneAgreement:
+    @pytest.mark.parametrize("n,w", [(12, 2.5), (30, 3.0), (30, 100.0), (25, 1e18)])
+    def test_every_state_matches_solve_state(self, n, w):
+        # backward induction (per-m matrix reuse, dense gather) against the
+        # standalone per-state path fed with the solution's own cost table
+        sol = solve_equilibrium(GameParams(n, w))
+        for s in enumerate_states(n):
+            if s.m < 2:
+                continue
+            q, c, roots = solve_state(s, w, sol.per_player.values)
+            assert q == sol.profile.q(s), s
+            assert c == sol.per_player[s], s
+            assert roots == sol.diagnostics[s].root_count, s
+
+
+class TestNoEntryCertificate:
+    QS = np.unique(np.concatenate([np.geomspace(1e-6, 1.0, 400), np.linspace(1e-6, 1.0, 4001)]))
+
+    @pytest.mark.parametrize("w", [3.0, 100.0])
+    def test_sound_against_oracle(self, w):
+        n = 30
+        sol = solve_equilibrium(GameParams(n, w))
+        certified = 0
+        for s in enumerate_states(n):
+            if s.m < 2 or s.k < 1:
+                continue
+            cont = _continuation(sol, s)
+            exact = s.k * w > 1.0 + max(cont)
+            # the solver's certificate may be stricter, never looser
+            assert exact or not _certifies_no_entry(s.k, w, np.array(cont)), s
+            if exact:
+                certified += 1
+                gaps = oracles.gap_values(s.m, s.k, w, self.QS, cont)
+                assert (gaps > 0.0).all(), s
+                assert sol.profile.q(s) == 0.0
+                assert sol.per_player[s] == 1.0 + cont[0]
+        assert certified > 0
+
+    def test_covers_most_no_entry_states(self):
+        n, w = 30, 100.0
+        sol = solve_equilibrium(GameParams(n, w))
+        q0 = [s for s in enumerate_states(n) if s.m >= 2 and sol.profile.q(s) == 0.0]
+        fired = [
+            s for s in q0 if _certifies_no_entry(s.k, w, np.array(_continuation(sol, s)))
+        ]
+        assert len(fired) >= 0.9 * len(q0), (len(fired), len(q0))
