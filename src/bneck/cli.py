@@ -102,6 +102,8 @@ def parse_profile_document(doc: dict) -> Tuple[EntryProfile, GameParams]:
         raw = doc["entries"]
     except KeyError as exc:
         raise InvalidParameterError(f"profile document missing field {exc}") from exc
+    except TypeError as exc:
+        raise InvalidParameterError("profile document n and w must be numbers") from exc
     if not isinstance(raw, list):
         raise InvalidParameterError("entries must be a list")
     entries: Dict[QueueState, float] = {}
@@ -109,8 +111,13 @@ def parse_profile_document(doc: dict) -> Tuple[EntryProfile, GameParams]:
         if not isinstance(item, dict):
             raise InvalidParameterError("profile entries must be objects")
         _reject_unknown(item, {"m", "k", "q"}, "profile entry")
-        state = QueueState(int(item["m"]), int(item["k"]))
-        q = float(item["q"])
+        try:
+            state = QueueState(int(item["m"]), int(item["k"]))
+            q = float(item["q"])
+        except KeyError as exc:
+            raise InvalidParameterError(f"profile entry missing field {exc}") from exc
+        except TypeError as exc:
+            raise InvalidParameterError(f"profile entry {item} is not numeric") from exc
         if state in entries:
             raise InvalidParameterError(f"duplicate profile entry for {state}")
         if state.m < 1 or state.total > params.n:

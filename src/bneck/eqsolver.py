@@ -44,6 +44,8 @@ from .model import (
     _binom_consts,
     _binom_matrix,
     _binom_row,
+    _successor_values,
+    _wait_cost,
     cost_enter,
     cost_wait,
     enumerate_states,
@@ -146,21 +148,10 @@ class _GapEvaluator:
 
     def gap(self, qs: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Gap at every q of ``qs``, given B = _binom_matrix(m-1, qs)."""
-        m, k = self.m, self.k
-        if k >= 1:
-            wait = 1.0 + B @ self.cont
-        else:
-            num = 1.0 + B[:, 1:] @ self.cont[1:]
-            wait = num / one_minus_pow(qs, m - 1)
-        return self.enter(qs) - wait
+        return self.enter(qs) - _wait_cost(self.m, self.k, qs, B, self.cont)
 
     def gap_scalar(self, q: float) -> float:
-        m, k = self.m, self.k
-        row = self.rows.row(q)
-        if k >= 1:
-            wait = 1.0 + float(row @ self.cont)
-        else:
-            wait = (1.0 + float(row[1:] @ self.cont[1:])) / one_minus_pow(q, m - 1)
+        wait = _wait_cost(self.m, self.k, q, self.rows.row(q), self.cont)
         return float(self.enter(q) - wait)
 
 
@@ -265,12 +256,7 @@ def solve_state(
     m, k = state.m, state.k
     if m < 2:
         raise InvalidParameterError(f"solve_state needs m >= 2, got {state}")
-    cont = np.array(
-        [
-            continuation[QueueState(m - i, k + i - 1)] if (k + i - 1) >= 0 else 0.0
-            for i in range(m)
-        ]
-    )
+    cont = _successor_values(continuation, m, k, m - 1)
     rows = _BinomRows(m, grid_points)
     q, c, count, _ = _solve_state_arrays(rows, k, w, cont, policy, tol)
     return q, c, count
@@ -298,11 +284,8 @@ def solve_equilibrium(
     solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
     for m in range(2, n + 1):
         rows = _BinomRows(m, grid_points)
-        idx = np.arange(m)
         for k in range(n - m + 1):
-            cont = cost[m - idx, k - 1 + idx]
-            if k == 0:
-                cont[0] = 0.0
+            cont = _successor_values(cost, m, k, m - 1)
             result = _solve_state_arrays(rows, k, w, cont, policy, tol)
             cost[m, k] = result[1]
             solved[m].append(result)
@@ -363,6 +346,40 @@ class VerificationReport:
         return [c.state for c in self.checks if not c.passed]
 
 
+def _profile_costs(
+    profile: EntryProfile, params: GameParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense [m, k] arrays of the profile's per-player cost and waiting cost."""
+    n, w = params.n, params.w
+    v = np.zeros((n + 1, n + 1))
+    v[1] = np.arange(n + 1)
+    wait = np.zeros((n + 1, n + 1))
+    for m in range(2, n + 1):
+        consts = _binom_consts(m - 1)
+        for k in range(n - m + 1):
+            state = QueueState(m, k)
+            q = profile.q(state)
+            if q == 0.0:
+                if k == 0:
+                    raise DivergentCostError(
+                        f"profile cost diverges at {state}: nobody ever enters"
+                    )
+                # everybody waits one step, the head of the queue is served
+                v[m, k] = wait[m, k] = 1.0 + v[m, k - 1]
+                continue
+            c1 = cost_enter(state, q, w)
+            row = _binom_row(m - 1, q, consts)
+            cont = _successor_values(v, m, k, m - 1)
+            wait[m, k] = _wait_cost(m, k, q, row, cont)
+            if k >= 1:
+                v[m, k] = q * c1 + (1.0 - q) * wait[m, k]
+            else:
+                # the agent's own entry also ends the all-wait self-loop
+                stay = 1.0 + float(row @ cont)
+                v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
+    return v, wait
+
+
 def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
     """Per-outside-player expected cost of playing an arbitrary profile.
 
@@ -370,30 +387,8 @@ def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
     empty queue the all-wait self-loop is solved linearly, which requires
     q(m,0) > 0.
     """
-    n, w = params.n, params.w
-    values: Dict[QueueState, float] = {}
-    for state in enumerate_states(n):
-        m, k = state.m, state.k
-        if m == 1:
-            values[state] = float(k)
-            continue
-        q = profile.q(state)
-        c1 = cost_enter(state, q, w)
-        row = _binom_row(m - 1, q)
-        if k >= 1:
-            c0 = 1.0 + sum(
-                p * values[QueueState(m - i, k + i - 1)]
-                for i, p in enumerate(row)
-                if p > 0.0
-            )
-            values[state] = q * c1 + (1.0 - q) * c0
-        else:
-            if q == 0.0:
-                raise DivergentCostError(
-                    f"profile cost diverges at {state}: nobody ever enters"
-                )
-            cont = sum(row[i] * values[QueueState(m - i, i - 1)] for i in range(1, m))
-            values[state] = (q * c1 + (1.0 - q) * (1.0 + cont)) / one_minus_pow(q, m)
+    v = _profile_costs(profile, params)[0].tolist()
+    values = {s: v[s.m][s.k] for s in enumerate_states(params.n)}
     return CostTable(CostRole.PER_OUTSIDE_PLAYER, values)
 
 
@@ -408,7 +403,7 @@ def verify_profile(
     the profile itself delivers.
     """
     n, w = params.n, params.w
-    table = profile_cost_table(profile, params)
+    v, wait = (a.tolist() for a in _profile_costs(profile, params))
     checks: List[StateCheck] = []
     worst = 0.0
     for state in enumerate_states(n):
@@ -416,13 +411,10 @@ def verify_profile(
         if m == 1:
             continue
         q = profile.q(state)
-        cost = table[state]
+        cost = v[m][k]
         scale = max(1.0, abs(cost))
         c1 = cost_enter(state, q, w)
-        try:
-            c0 = cost_wait(state, q, w, table.values)
-        except DivergentCostError:
-            c0 = math.inf
+        c0 = wait[m][k]
         reasons = []
         if 0.0 < q < 1.0:
             resid = abs(c1 - c0)

@@ -19,6 +19,13 @@ Cost conventions used throughout:
   drain, then enter free).  Profiles store q=1 at (1, k) by convention, but
   every cost computation and the simulator use this rule, never the stored
   value, so the convention is cost-neutral.
+
+Every cost is a recursion over one transition: from (m, k), i agents enter
+with Binomial odds and the game moves to (m-i, k+i-1).  ``_successor_values``
+holds that index arithmetic.  The recursions keep per-state values in dense
+(n+1) x (n+1) arrays indexed [m, k], visit states m-major (m ascending, then
+k ascending: (m, k) needs (m, k-1) and states with fewer agents outside) and
+convert to ``CostTable`` and dict types once, at the end.
 """
 
 from __future__ import annotations
@@ -71,8 +78,8 @@ class GameParams:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if not self.w > 1.0:
-            raise InvalidParameterError(f"w must be > 1, got {self.w}")
+        if not (self.w > 1.0 and math.isfinite(self.w)):
+            raise InvalidParameterError(f"w must be finite and > 1, got {self.w}")
 
 
 @dataclass(frozen=True, order=True)
@@ -181,9 +188,8 @@ def enumerate_states(n: int) -> List[QueueState]:
     """All states with m >= 1 and m + k <= n, by ascending (m+k, m).
 
     Every continuation state of (m, k) has total m+k-1 and therefore
-    precedes it, so the cost recursions here and ``profile_cost_table`` can
-    walk states in this order.  ``solve_equilibrium`` does not: it visits
-    states m-major (see ``eqsolver``) and only reports them in this order.
+    precedes it.  The cost recursions visit states m-major instead (see the
+    module docstring) and report their tables in this order.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
@@ -197,8 +203,6 @@ def enumerate_states(n: int) -> List[QueueState]:
 # ---------------------------------------------------------------------------
 # Binomial arithmetic
 
-
-_LOG_SPACE_THRESHOLD = 1000
 
 _logfact_cache = np.zeros(1)
 
@@ -214,47 +218,16 @@ def _logfact(n: int) -> np.ndarray:
 def binom_pmf(m: int, i: int, q: float) -> float:
     """C(m,i) * q^i * (1-q)^(m-i), finite and non-negative for extreme inputs.
 
-    For m <= 1000 this runs a multiplicative recurrence that interleaves the
-    (1-q) factors with the ratio factors and renormalizes through a separate
-    power-of-two exponent, so intermediate products never over- or underflow.
-    Above that it switches to log-space.
+    The i = 0 term is the exact power (1-q)^m; every other term is read
+    from ``_binom_row``, the log-space row the solvers use.
     """
     if m < 0 or i < 0 or i > m:
         raise InvalidParameterError(f"need 0 <= i <= m, got m={m}, i={i}")
     if math.isnan(q) or not 0.0 <= q <= 1.0:
         raise InvalidParameterError(f"q must be in [0,1], got {q}")
-    if q == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if i == m else 0.0
-    if m > _LOG_SPACE_THRESHOLD:
-        lf = _logfact(m)
-        logv = lf[m] - lf[i] - lf[m - i] + i * math.log(q) + (m - i) * math.log1p(-q)
-        return math.exp(logv)
-    one_q = 1.0 - q
     if i == 0:
-        return one_q**m
-    mant = 1.0
-    ex = 0
-    rem = m - i
-
-    def mul(x: float):
-        nonlocal mant, ex
-        mant *= x
-        if not 2.0**-512 < mant < 2.0**512:
-            fr, e2 = math.frexp(mant)
-            mant = fr
-            ex += e2
-
-    folded = 0
-    for j in range(1, i + 1):
-        mul(((m - i + j) / j) * q)
-        # spread the (1-q)^(m-i) factors evenly across the i ratio steps
-        upto = (rem * j) // i
-        for _ in range(upto - folded):
-            mul(one_q)
-        folded = upto
-    return math.ldexp(mant, ex)
+        return (1.0 - q) ** m
+    return float(_binom_row(m, q)[i])
 
 
 def _binom_consts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,20 +326,43 @@ def cost_wait(
             raise DivergentCostError(
                 f"waiting cost at {state} diverges when nobody ever enters"
             )
-    row = _binom_row(m - 1, q)
-    if k >= 1:
-        cont = sum(
-            p * continuation[QueueState(m - i, k + i - 1)]
-            for i, p in enumerate(row)
-            if p > 0.0
+    cont = _successor_values(continuation, m, k, m - 1)
+    return _wait_cost(m, k, q, _binom_row(m - 1, q), cont)
+
+
+def _successor_values(values, m: int, k: int, top: int) -> np.ndarray:
+    """Values at (m - i, k - 1 + i), i = 0..top: where (m, k) moves when i enter.
+
+    This is the game's one transition.  ``values`` is a dense array indexed
+    [m, k] or a Mapping keyed by QueueState.  At k = 0 slot 0 is the
+    self-loop (nobody enters, so the game stays at (m, 0)); it reads 0 and
+    callers divide the loop out geometrically.
+    """
+    i = np.arange(top + 1)
+    rows, cols = m - i, k - 1 + i
+    if isinstance(values, np.ndarray):
+        out = values[rows, cols]
+    else:
+        out = np.array(
+            [
+                values[QueueState(r, c)] if c >= 0 else 0.0
+                for r, c in zip(rows.tolist(), cols.tolist())
+            ]
         )
-        return 1.0 + cont
-    cont = sum(
-        row[i] * continuation[QueueState(m - i, i - 1)]
-        for i in range(1, m)
-        if row[i] > 0.0
-    )
-    return (1.0 + cont) / one_minus_pow(q, m - 1)
+    if k == 0:
+        out[0] = 0.0
+    return out
+
+
+def _wait_cost(m: int, k: int, q, rows: np.ndarray, cont: np.ndarray):
+    """``cost_wait`` at q (scalar or ndarray) from the pmf(m-1, ., q) rows.
+
+    ``cont`` comes from ``_successor_values``; at k = 0 its self-loop slot is
+    left out of the sum.
+    """
+    if k >= 1:
+        return 1.0 + rows @ cont
+    return (1.0 + rows[..., 1:] @ cont[1:]) / one_minus_pow(q, m - 1)
 
 
 def step_cost_total(state: QueueState, i: int, w: float) -> float:
@@ -384,11 +380,6 @@ def step_cost_total(state: QueueState, i: int, w: float) -> float:
     return float(m)
 
 
-def _drain_cost(k: int, w: float) -> float:
-    # deterministic drain of a queue of k with nobody outside
-    return w * k * (k - 1) / 2.0
-
-
 def total_cost_evaluate(
     profile: EntryProfile, params: GameParams
 ) -> Tuple[CostTable, float]:
@@ -402,31 +393,35 @@ def total_cost_evaluate(
     T(n, 0).
     """
     n, w = params.n, params.w
-    values: Dict[QueueState, float] = {}
-    for k in range(0, n + 1):
-        values[QueueState(0, k)] = _drain_cost(k, w)
-    for state in enumerate_states(n):
-        m, k = state.m, state.k
-        if m == 1:
-            # lone-agent rule: wait out the drain (k steps), then enter free
-            values[state] = k + _drain_cost(k, w)
-            continue
-        q = profile.dynamics_q(state)
-        if k == 0 and q == 0.0:
-            values[state] = math.inf
-            continue
-        row = _binom_row(m, q)
-        acc = 0.0
-        for i in range(0 if k >= 1 else 1, m + 1):
-            if row[i] <= 0.0:
+    # T[m, k]: row 0 is the deterministic drain, row 1 the lone-agent rule
+    # (wait out the drain, k steps, then enter free)
+    ks = np.arange(n + 1)
+    T = np.zeros((n + 1, n + 1))
+    T[0] = w * ks * (ks - 1) / 2.0
+    T[1] = ks + T[0]
+    for m in range(2, n + 1):
+        consts = _binom_consts(m)
+        i = np.arange(m + 1)
+        for k in range(n - m + 1):
+            q = profile.dynamics_q(QueueState(m, k))
+            if q == 0.0:
+                # one step serves the head of the queue; at k = 0 nothing ever moves
+                T[m, k] = (k - 1) * w + m + T[m, k - 1] if k >= 1 else math.inf
                 continue
-            succ = QueueState(m - i, k + i - 1)
-            acc += row[i] * (step_cost_total(state, i, w) + values[succ])
-        if k >= 1:
-            values[state] = float(acc)
-        else:
-            values[state] = float((row[0] * m + acc) / one_minus_pow(q, m))
-    total = values[QueueState(n, 0)]
+            # step cost when i enter: the k+i-1 queued behind the head pay w
+            # and the m-i outside pay 1; on the self-loop all m pay 1
+            step = (k - 1 + i) * w + (m - i)
+            if k == 0:
+                step[0] = m
+            terms = step + _successor_values(T, m, k, m)
+            row = _binom_row(m, q, consts)
+            live = row > 0.0  # skips 0 * inf at never-ending successors
+            acc = float(row[live] @ terms[live])
+            T[m, k] = acc if k >= 1 else acc / one_minus_pow(q, m)
+    vals = T.tolist()
+    values = {QueueState(0, k): vals[0][k] for k in range(n + 1)}
+    values.update((s, vals[s.m][s.k]) for s in enumerate_states(n))
+    total = vals[n][0]
     if not math.isfinite(total):
         raise NonTerminatingProfileError(
             "profile never enters at a reachable empty-queue state"

@@ -162,6 +162,22 @@ class TestProfileDocument:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "w": 8.0, "entries": [{"m": 2, "q": 0.5}]},
+            {"n": 2, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": None}]},
+            {"n": None, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": 0.5}]},
+        ],
+        ids=["missing_k", "null_q", "null_n"],
+    )
+    def test_malformed_entry_exits_bad_input(self, doc, tmp_path):
+        with pytest.raises(InvalidParameterError):
+            parse_profile_document(doc)
+        pfile = tmp_path / "bad.json"
+        pfile.write_text(json.dumps(doc))
+        assert main(["sim", "--profile", str(pfile)]) == EXIT_BAD_INPUT
+
     def test_roundtrip(self):
         params = GameParams(3, 10.0)
         profile = solve_equilibrium(params).profile
@@ -169,6 +185,26 @@ class TestProfileDocument:
         parsed, parsed_params = parse_profile_document(doc)
         assert parsed_params == params
         assert parsed.entries == profile.entries
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eq", "--n", "3", "--w", "inf"],
+        ["opt", "--n", "3", "--w", "inf"],
+        ["bounds", "--n", "3", "--w", "inf"],
+        ["verify", "--n", "3", "--w", "inf"],
+        ["sim", "--from-eq", "2", "inf"],
+        ["sweep", "--n-range", "2:2", "--w-list", "inf"],
+        ["sim", "--profile", "{profile}"],
+    ],
+    ids=lambda args: args[0] + ("_profile" if "{profile}" in args else ""),
+)
+def test_non_finite_w_exits_bad_input(args, tmp_path):
+    pfile = tmp_path / "inf.json"
+    pfile.write_text('{"n": 2, "w": Infinity, "entries": [{"m": 2, "k": 0, "q": 0.5}]}')
+    args = [a.format(profile=pfile) for a in args]
+    assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
 
 
 class TestBounds:

@@ -196,6 +196,23 @@ class TestVerify:
         _, total = total_cost_evaluate(sol.profile, params)
         assert total == pytest.approx(sol.total_cost, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+    def test_total_eval_consistency_off_equilibrium(self, n):
+        # by symmetry T(n, 0) = n * v(n, 0) for every full profile, not only
+        # equilibria; interior q at k >= 1 puts weight on every successor
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            params = GameParams(n, 1.5 + 20.0 * float(rng.random()))
+            profile = EntryProfile(
+                {
+                    s: 1.0 if s.m == 1 else 0.02 + 0.96 * float(rng.random())
+                    for s in enumerate_states(n)
+                }
+            )
+            _, total = total_cost_evaluate(profile, params)
+            per_player = profile_cost_table(profile, params)[S(n, 0)]
+            assert total == pytest.approx(n * per_player, rel=1e-12)
+
 
 class TestPolicies:
     def test_both_policies_verify(self):
