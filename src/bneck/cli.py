@@ -27,6 +27,7 @@ from .eqsolver import (
     verify_profile,
 )
 from .model import (
+    DivergentCostError,
     EntryProfile,
     GameParams,
     InvalidParameterError,
@@ -552,7 +553,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParameterError, NonTerminatingProfileError) as exc:
+    except (InvalidParameterError, NonTerminatingProfileError, DivergentCostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

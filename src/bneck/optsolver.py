@@ -32,7 +32,6 @@ from .model import (
 
 __all__ = [
     "OptSolution",
-    "StageDiagnostics",
     "opt_stage_cost",
     "solve_opt",
     "opt_closed_form_2p",
@@ -47,13 +46,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
-class StageDiagnostics:
-    bracket: Tuple[float, float]
-    width: float
-    stage_cost: float
-
-
-@dataclass(frozen=True)
 class OptSolution:
     """p[m] is the entry probability with m agents left (p[0] unused, p[1]=1);
     opt[m] is the minimal total cost of serving m agents."""
@@ -61,7 +53,6 @@ class OptSolution:
     params: GameParams
     p: Tuple[float, ...]
     opt: Tuple[float, ...]
-    diagnostics: Tuple[StageDiagnostics, ...]
 
     @property
     def total_cost(self) -> float:
@@ -142,9 +133,6 @@ def solve_opt(
     n, w = params.n, params.w
     opt: List[float] = [0.0, 0.0]
     p: List[float] = [math.nan, 1.0]
-    diags: List[StageDiagnostics] = [
-        StageDiagnostics(bracket=(1.0, 1.0), width=0.0, stage_cost=0.0)
-    ]
     for m in range(2, n + 1):
         grid = _stage_grid(m, grid_points)
         vals = _stage_cost_grid(m, grid, w, opt)
@@ -153,9 +141,8 @@ def solve_opt(
             return opt_stage_cost(_m, x, w, opt)
 
         best_x, best_f = 1.0, float(vals[-1])
-        best_bracket = (float(grid[-2]), 1.0)
-        mins = [j for j in range(len(grid)) if _is_local_min(vals, j)]
-        for j in mins:
+        padded = np.concatenate(([math.inf], vals, [math.inf]))
+        for j in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
             a = float(grid[max(j - 1, 0)])
             b = float(grid[min(j + 1, len(grid) - 1)])
             if a == b:
@@ -164,25 +151,9 @@ def solve_opt(
                 x, fx = _golden_min(f, a, b, tol)
             if fx < best_f:
                 best_x, best_f = x, fx
-                best_bracket = (a, b)
         p.append(best_x)
         opt.append(best_f)
-        diags.append(
-            StageDiagnostics(
-                bracket=best_bracket,
-                width=best_bracket[1] - best_bracket[0],
-                stage_cost=best_f,
-            )
-        )
-    return OptSolution(
-        params=params, p=tuple(p[: n + 1]), opt=tuple(opt[: n + 1]), diagnostics=tuple(diags)
-    )
-
-
-def _is_local_min(vals: np.ndarray, j: int) -> bool:
-    left = vals[j - 1] if j > 0 else math.inf
-    right = vals[j + 1] if j + 1 < len(vals) else math.inf
-    return vals[j] <= left and vals[j] <= right
+    return OptSolution(params=params, p=tuple(p[: n + 1]), opt=tuple(opt[: n + 1]))
 
 
 def opt_closed_form_2p(w: float) -> Tuple[float, float]:

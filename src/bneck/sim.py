@@ -1,12 +1,20 @@
 """Monte Carlo simulation of the queue game under an arbitrary entry profile.
 
-Each trial plays the discrete-time loop of the game: outside agents flip
-independent entry coins, entrants are appended to the queue in a uniformly
-random order (Fisher-Yates on the trial's stream), the head of a non-empty
-queue is processed, the remaining queue members pay w and the outside agents
-pay 1.  Consecutive no-entry steps at an empty queue form a geometric
-self-loop and are sampled in one shot rather than replayed, which changes
-nothing in distribution.
+A trial walks the (m, k) chain: m agents outside, k queued.  At k >= 1 the
+entrant count i is one Binomial(m, q) draw.  At an empty queue the run of
+no-entry steps is a geometric self-loop sampled in one shot, which changes
+nothing in distribution, and one uniform draws i conditional on i >= 1.  The
+chain moves to (m - i, k + i - 1); a lone agent outside a non-empty queue
+waits out the drain and enters at step + k.
+
+Only the step t_j at which queue position j entered is kept.  One head is
+served per step, so position j is served at s_j = max(t_j, s_{j-1} + 1) and
+pays t_j + w (s_j - t_j); a truncated trial stops the clock at its step
+count, and agents still outside pay one per step played.  Every outside
+agent enters with the same probability and entrants join in a uniformly
+random order, so the agents take the positions in a uniformly random order,
+independent of the chain: one permutation of the n labels per trial maps
+positions to agents exactly in distribution.
 
 Trial i draws from a Philox stream keyed by (seed, i), so results are
 reproducible regardless of execution order, and aggregation is
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,75 +79,57 @@ def simulate_once(
     max_steps: Optional[int] = None,
 ) -> Tuple[float, np.ndarray, int, bool]:
     """One play of the game; returns (total cost, per-agent costs, steps, truncated)."""
-    n, w = params.n, params.w
+    n = params.n
     if max_steps is None:
         max_steps = default_step_cap(profile, params)
-    costs = np.zeros(n)
-    outside = list(range(n))
-    queue: list[int] = []
-    steps = 0
-    truncated = False
-    while outside:
-        m, k = len(outside), len(queue)
+    entry_steps: list[int] = []
+    m, k, steps = n, 0, 0
+    truncated = True  # cleared below if the walk ends with every agent entered
+    while m:
         if m == 1 and k >= 1:
             # lone-agent rule: wait out the drain, then enter the empty queue
-            costs[outside[0]] += k
-            for pos, agent in enumerate(queue):
-                costs[agent] += w * pos
-            steps += k + 1
-            outside.clear()
-            queue.clear()
-            break
-        state = QueueState(m, k)
-        q = profile.dynamics_q(state)
+            entry_steps.append(steps + k)
+            m, k, steps = 0, 0, steps + k + 1
+            continue
+        q = profile.dynamics_q(QueueState(m, k))
         if k == 0:
             if q <= 0.0:
-                truncated = True
                 break
             if q < 1.0:
-                success = min(1.0, one_minus_pow(q, m))
-                waited = int(rng.geometric(success)) - 1
+                waited = int(rng.geometric(min(1.0, one_minus_pow(q, m)))) - 1
                 if steps + waited > max_steps:
-                    truncated = True
                     break
-                if waited:
-                    for agent in outside:
-                        costs[agent] += waited
-                    steps += waited
+                steps += waited
             # entrant count conditional on at least one entering
-            row = _binom_row(m, q)[1:]
-            cdf = np.cumsum(row)
+            cdf = np.cumsum(_binom_row(m, q)[1:])
             i = 1 + int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
             i = min(i, m)
-            order = rng.permutation(m)[:i]
-            entrants = [outside[j] for j in order]
         else:
-            if q > 0.0:
-                coins = rng.random(m)
-                chosen = [j for j in range(m) if coins[j] < q]
-            else:
-                chosen = []
-            if len(chosen) > 1:
-                chosen = [chosen[j] for j in rng.permutation(len(chosen))]
-            entrants = [outside[j] for j in chosen]
-        entrant_set = set(entrants)
-        outside = [a for a in outside if a not in entrant_set]
-        queue.extend(entrants)
-        if queue:
-            queue.pop(0)  # head processed, pays nothing this step
-            for agent in queue:
-                costs[agent] += w
-        for agent in outside:
-            costs[agent] += 1.0
+            i = int(rng.binomial(m, q))
+        entry_steps.extend([steps] * i)
+        m -= i
+        k += i - 1  # i >= 1 at an empty queue
         steps += 1
         if steps > max_steps:
-            truncated = True
             break
-    if not truncated:
-        for pos, agent in enumerate(queue):
-            costs[agent] += w * pos
-        steps += len(queue)
-    return float(costs.sum()), costs, steps, truncated
+    else:
+        truncated = False
+        steps += k  # the queue drains after the last entry
+    costs = _position_costs(entry_steps, n, params.w, steps)
+    return float(costs.sum()), costs[rng.permutation(n)], steps, truncated
+
+
+def _position_costs(entry_steps: Sequence[int], n: int, w: float, steps: int) -> np.ndarray:
+    """Costs of the queue positions in entry order, then of the agents left outside.
+
+    The clock stops at ``steps``, which on a finished trial is past the last service.
+    """
+    t = np.asarray(entry_steps, dtype=float)
+    j = np.arange(len(t))
+    served = np.maximum.accumulate(t - j) + j  # s_j = max(t_j, s_{j-1} + 1)
+    costs = np.full(n, float(steps))
+    costs[: len(t)] = t + w * (np.minimum(served, steps) - t)
+    return costs
 
 
 def simulate(

@@ -135,3 +135,26 @@ def total_cost_direct(p: Sequence[float], n: int, w: float) -> float:
         )
         vals.append((coeff[0] * m + acc) / (1.0 - (1.0 - pm) ** m))
     return vals[n]
+
+
+def fifo_replay(entry_steps: Sequence[int], n: int, w: float, end: int) -> List[float]:
+    """Per-position costs of one play, replayed step by step up to ``end``.
+
+    Position j joins the queue at step entry_steps[j]; positions past the
+    list never enter.  Each step the entrants join, the head is served for
+    free, the rest of the queue pays w and every agent outside pays 1.
+    """
+    costs = [0.0] * n
+    queue: List[int] = []
+    joined = 0
+    for step in range(end):
+        while joined < len(entry_steps) and entry_steps[joined] == step:
+            queue.append(joined)
+            joined += 1
+        if queue:
+            queue.pop(0)
+        for j in queue:
+            costs[j] += w
+        for j in range(joined, n):
+            costs[j] += 1.0
+    return costs

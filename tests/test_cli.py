@@ -309,3 +309,11 @@ class TestVerify:
         )
         assert code == EXIT_CHECK_FAILED
         assert "state (2,0)" in out.read_text()
+
+    def test_never_entering_profile_exits_bad_input(self, tmp_path):
+        # q = 0 at the empty queue (2, 0): the profile's costs diverge
+        doc = {"n": 2, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": 0.0}]}
+        pfile = tmp_path / "never.json"
+        pfile.write_text(json.dumps(doc))
+        args = ["verify", "--n", "2", "--w", "8", "--profile", str(pfile)]
+        assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from bneck.eqsolver import solve_equilibrium
 from bneck.model import (
     EntryProfile,
@@ -12,7 +13,7 @@ from bneck.model import (
     total_cost_evaluate,
 )
 from bneck.optsolver import solve_opt
-from bneck.sim import simulate, simulate_once, trial_rng
+from bneck.sim import _position_costs, simulate, simulate_once, trial_rng
 
 S = QueueState
 
@@ -140,3 +141,50 @@ class TestTrialRng:
         assert np.array_equal(a, b)
         c = trial_rng(42, 8).random(5)
         assert not np.array_equal(a, c)
+
+
+def _random_entry_steps(rng, n):
+    """Non-decreasing entry steps of up to n positions: ties, steps and gaps."""
+    return np.cumsum(rng.integers(0, 3, size=int(rng.integers(0, n + 1)))).tolist()
+
+
+class TestPositionCosts:
+    def test_matches_replay_on_finished_trials(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            w = float(rng.uniform(1.0, 50.0))
+            t = _random_entry_steps(rng, n)
+            t += [t[-1] if t else 0] * (n - len(t))
+            end = t[-1] + n  # past the last service
+            want = oracles.fifo_replay(t, n, w, end)
+            assert _position_costs(t, n, w, end) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_matches_replay_on_truncated_trials(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            w = float(rng.uniform(1.0, 50.0))
+            t = _random_entry_steps(rng, n)
+            end = int(rng.integers(t[-1] + 1 if t else 0, (t[-1] if t else 0) + n + 2))
+            want = oracles.fifo_replay(t, n, w, end)
+            assert _position_costs(t, n, w, end) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_lone_agent_drain(self):
+        # three enter at step 2, leaving (1, 2) at step 3: the lone agent
+        # enters at 3 + k = 5, once the queue has drained
+        t, w = [2, 2, 2, 5], 10.0
+        costs = _position_costs(t, 4, w, 6)
+        assert costs.tolist() == pytest.approx(oracles.fifo_replay(t, 4, w, 6), rel=1e-12)
+        assert costs.tolist() == pytest.approx([2.0, 2.0 + w, 2.0 + 2 * w, 5.0])
+
+    def test_truncated_trial_charges_up_to_the_cap(self):
+        # all three enter at step 0; the cap stops the clock after that step,
+        # so the two still queued have paid w once each
+        params = GameParams(3, 2.0)
+        total, per_agent, steps, truncated = simulate_once(
+            EntryProfile.all_enter(3), params, trial_rng(0, 0), max_steps=0
+        )
+        assert truncated and steps == 1
+        assert total == 4.0
+        assert sorted(per_agent.tolist()) == [0.0, 2.0, 2.0]
