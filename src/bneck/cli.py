@@ -267,8 +267,7 @@ def cmd_sim(args) -> int:
             "non-terminating profile: zero entry probability at an empty queue"
         )
     report = simulate(profile, params, args.trials, args.seed, args.max_steps)
-    doc = {
-        "command": "sim",
+    fields = {
         "n": params.n,
         "w": params.w,
         "trials": report.trials,
@@ -279,29 +278,10 @@ def cmd_sim(args) -> int:
         "max_steps_hit": report.max_steps_hit,
     }
     if args.format == "json":
-        _write(_json_text(doc), args.out)
+        _write(_json_text({"command": "sim", **fields}), args.out)
     else:
-        header = [
-            "n",
-            "w",
-            "trials",
-            "seed",
-            "mean_total",
-            "std_error",
-            "per_agent_mean",
-            "max_steps_hit",
-        ]
-        row = [
-            str(params.n),
-            _num(params.w),
-            str(report.trials),
-            str(report.seed),
-            _num(report.mean_total),
-            _num(report.std_error),
-            _num(report.per_agent_mean),
-            str(report.max_steps_hit),
-        ]
-        _write(_csv_text(header, [row]), args.out)
+        row = [_num(v) if isinstance(v, float) else str(v) for v in fields.values()]
+        _write(_csv_text(list(fields), [row]), args.out)
     return EXIT_OK
 
 

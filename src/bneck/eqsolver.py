@@ -44,12 +44,13 @@ from .model import (
     _binom_consts,
     _binom_matrix,
     _binom_row,
+    _check_solver_settings,
+    _profile_costs,
     _successor_values,
     _wait_cost,
     cost_enter,
     cost_wait,
     enumerate_states,
-    one_minus_pow,
 )
 
 __all__ = [
@@ -256,6 +257,7 @@ def solve_state(
     m, k = state.m, state.k
     if m < 2:
         raise InvalidParameterError(f"solve_state needs m >= 2, got {state}")
+    _check_solver_settings(grid_points, tol)
     cont = _successor_values(continuation, m, k, m - 1)
     rows = _BinomRows(m, grid_points)
     q, c, count, _ = _solve_state_arrays(rows, k, w, cont, policy, tol)
@@ -274,6 +276,7 @@ def solve_equilibrium(
     other state is solved by the sign-scan/bisection case analysis against
     the already-solved continuation states.
     """
+    _check_solver_settings(grid_points, tol)
     n, w = params.n, params.w
     # cost[m, k] feeds the continuation gather; row m = 1 is the lone-agent
     # rule.  solved[m][k] is (q, cost, root count, residual), read back below
@@ -346,38 +349,15 @@ class VerificationReport:
         return [c.state for c in self.checks if not c.passed]
 
 
-def _profile_costs(
+def _finite_profile_costs(
     profile: EntryProfile, params: GameParams
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense [m, k] arrays of the profile's per-player cost and waiting cost."""
-    n, w = params.n, params.w
-    v = np.zeros((n + 1, n + 1))
-    v[1] = np.arange(n + 1)
-    wait = np.zeros((n + 1, n + 1))
-    for m in range(2, n + 1):
-        consts = _binom_consts(m - 1)
-        for k in range(n - m + 1):
-            state = QueueState(m, k)
-            q = profile.q(state)
-            if q == 0.0:
-                if k == 0:
-                    raise DivergentCostError(
-                        f"profile cost diverges at {state}: nobody ever enters"
-                    )
-                # everybody waits one step, the head of the queue is served
-                v[m, k] = wait[m, k] = 1.0 + v[m, k - 1]
-                continue
-            c1 = cost_enter(state, q, w)
-            row = _binom_row(m - 1, q, consts)
-            cont = _successor_values(v, m, k, m - 1)
-            wait[m, k] = _wait_cost(m, k, q, row, cont)
-            if k >= 1:
-                v[m, k] = q * c1 + (1.0 - q) * wait[m, k]
-            else:
-                # the agent's own entry also ends the all-wait self-loop
-                stay = 1.0 + float(row @ cont)
-                v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
-    return v, wait
+    """``_profile_costs``, refusing a profile that never enters at an empty queue."""
+    if profile.min_empty_queue_prob(params.n) <= 0.0:
+        raise DivergentCostError(
+            "profile cost diverges: nobody ever enters at some empty queue"
+        )
+    return _profile_costs(profile, params)
 
 
 def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
@@ -385,9 +365,9 @@ def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
 
     v(m,k) = q*c1 + (1-q)*c0 with the agent mixing like everyone else; at an
     empty queue the all-wait self-loop is solved linearly, which requires
-    q(m,0) > 0.
+    q(m,0) > 0 at every m >= 2 (DivergentCostError otherwise).
     """
-    v = _profile_costs(profile, params)[0].tolist()
+    v = _finite_profile_costs(profile, params)[0].tolist()
     values = {s: v[s.m][s.k] for s in enumerate_states(params.n)}
     return CostTable(CostRole.PER_OUTSIDE_PLAYER, values)
 
@@ -403,7 +383,7 @@ def verify_profile(
     the profile itself delivers.
     """
     n, w = params.n, params.w
-    v, wait = (a.tolist() for a in _profile_costs(profile, params))
+    v, wait = (a.tolist() for a in _finite_profile_costs(profile, params))
     checks: List[StateCheck] = []
     worst = 0.0
     for state in enumerate_states(n):

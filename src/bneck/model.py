@@ -26,6 +26,12 @@ holds that index arithmetic.  The recursions keep per-state values in dense
 (n+1) x (n+1) arrays indexed [m, k], visit states m-major (m ascending, then
 k ascending: (m, k) needs (m, k-1) and states with fewer agents outside) and
 convert to ``CostTable`` and dict types once, at the end.
+
+One pass, ``_profile_costs``, prices a profile: the per-player cost v(m, k)
+and the waiting cost of every state.  The total social cost needs no second
+recursion: each of the m agents outside expects v(m, k), and the k queued
+agents pay w for every agent ahead of them whatever happens outside, so
+T(m, k) = m*v(m, k) + w*k*(k-1)/2.
 """
 
 from __future__ import annotations
@@ -66,6 +72,14 @@ class DivergentCostError(ArithmeticError):
 
 class NonTerminatingProfileError(ValueError):
     """The entry profile never leaves some reachable empty-queue state."""
+
+
+def _check_solver_settings(grid_points: int, tol: float) -> None:
+    """Reject a scan grid of fewer than 2 points or a tol that is not finite and > 0."""
+    if grid_points < 2:
+        raise InvalidParameterError(f"grid_points must be >= 2, got {grid_points}")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -146,12 +160,6 @@ class EntryProfile:
         """Stored entry probability (default 1 at m = 1)."""
         if state.m == 1 and state not in self.entries:
             return 1.0
-        return self.entries[state]
-
-    def dynamics_q(self, state: QueueState) -> float:
-        """Entry probability actually used by the game dynamics."""
-        if state.m == 1:
-            return 1.0 if state.k == 0 else 0.0
         return self.entries[state]
 
     def min_empty_queue_prob(self, n: int) -> float:
@@ -365,6 +373,44 @@ def _wait_cost(m: int, k: int, q, rows: np.ndarray, cont: np.ndarray):
     return (1.0 + rows[..., 1:] @ cont[1:]) / one_minus_pow(q, m - 1)
 
 
+def _profile_costs(
+    profile: EntryProfile, params: GameParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense [m, k] arrays of a profile's per-player cost v and waiting cost.
+
+    v(m, k) = q*c1 + (1-q)*c0 with the agent mixing like everyone else; at an
+    empty queue the all-wait self-loop is divided out.  Row 1 is the
+    lone-agent rule, v(1, k) = k.  A never-entering empty queue costs +inf,
+    and so does every state that reaches one with positive weight.
+    """
+    n, w = params.n, params.w
+    v = np.zeros((n + 1, n + 1))
+    v[1] = np.arange(n + 1)
+    wait = np.zeros((n + 1, n + 1))
+    for m in range(2, n + 1):
+        consts = _binom_consts(m - 1)
+        for k in range(n - m + 1):
+            state = QueueState(m, k)
+            q = profile.q(state)
+            if q == 0.0:
+                # everybody waits one step and the head of the queue is
+                # served; at an empty queue nothing ever moves
+                v[m, k] = wait[m, k] = 1.0 + v[m, k - 1] if k >= 1 else math.inf
+                continue
+            c1 = cost_enter(state, q, w)
+            row = _binom_row(m - 1, q, consts)
+            cont = _successor_values(v, m, k, m - 1)
+            cont[row == 0.0] = 0.0  # skips 0 * inf at never-ending successors
+            wait[m, k] = _wait_cost(m, k, q, row, cont)
+            if k >= 1:
+                v[m, k] = q * c1 + (1.0 - q) * wait[m, k]
+            else:
+                # the agent's own entry also ends the all-wait self-loop
+                stay = 1.0 + float(row @ cont)
+                v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
+    return v, wait
+
+
 def step_cost_total(state: QueueState, i: int, w: float) -> float:
     """Total social cost of one step in which i of the m outside agents enter.
 
@@ -385,40 +431,16 @@ def total_cost_evaluate(
 ) -> Tuple[CostTable, float]:
     """Expected total social cost T(m, k) of every state under a profile.
 
-    T(0, k) = w*k*(k-1)/2 (deterministic drain).  For m >= 1,
-    T(m, k) = sum_i pmf(m, i, q_{m,k}) * (step cost + T(successor)), with the
-    empty-queue self-loop divided out geometrically.  States (m, 0) where the
-    profile never enters get T = +inf; if such a state is reachable from
-    (n, 0) the profile is rejected as non-terminating.  Returns the table and
-    T(n, 0).
+    T(m, k) = m*v(m, k) + w*k*(k-1)/2 exactly, with v from the one pass that
+    prices a profile, ``_profile_costs`` (see the module docstring).  States
+    that never leave an empty queue, or reach one with positive weight, get
+    T = +inf; if (n, 0) is among them the profile is rejected as
+    non-terminating.  Returns the table and T(n, 0).
     """
     n, w = params.n, params.w
-    # T[m, k]: row 0 is the deterministic drain, row 1 the lone-agent rule
-    # (wait out the drain, k steps, then enter free)
+    v, _ = _profile_costs(profile, params)
     ks = np.arange(n + 1)
-    T = np.zeros((n + 1, n + 1))
-    T[0] = w * ks * (ks - 1) / 2.0
-    T[1] = ks + T[0]
-    for m in range(2, n + 1):
-        consts = _binom_consts(m)
-        i = np.arange(m + 1)
-        for k in range(n - m + 1):
-            q = profile.dynamics_q(QueueState(m, k))
-            if q == 0.0:
-                # one step serves the head of the queue; at k = 0 nothing ever moves
-                T[m, k] = (k - 1) * w + m + T[m, k - 1] if k >= 1 else math.inf
-                continue
-            # step cost when i enter: the k+i-1 queued behind the head pay w
-            # and the m-i outside pay 1; on the self-loop all m pay 1
-            step = (k - 1 + i) * w + (m - i)
-            if k == 0:
-                step[0] = m
-            terms = step + _successor_values(T, m, k, m)
-            row = _binom_row(m, q, consts)
-            live = row > 0.0  # skips 0 * inf at never-ending successors
-            acc = float(row[live] @ terms[live])
-            T[m, k] = acc if k >= 1 else acc / one_minus_pow(q, m)
-    vals = T.tolist()
+    vals = (ks[:, None] * v + w * ks * (ks - 1) / 2.0).tolist()
     values = {QueueState(0, k): vals[0][k] for k in range(n + 1)}
     values.update((s, vals[s.m][s.k]) for s in enumerate_states(n))
     total = vals[n][0]

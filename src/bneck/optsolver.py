@@ -27,6 +27,7 @@ from .model import (
     InvalidParameterError,
     _binom_matrix,
     _binom_row,
+    _check_solver_settings,
     one_minus_pow,
 )
 
@@ -115,7 +116,8 @@ def _stage_grid(m: int, points: int) -> np.ndarray:
     lo = 1e-8 / m
     knee = 1.0 / m
     left = np.geomspace(lo, knee, half)
-    right = np.linspace(knee, 1.0, points - half)
+    # at least [knee, 1]: solve_opt reads p = 1 off the last grid point
+    right = np.linspace(knee, 1.0, max(points - half, 2))
     return np.unique(np.concatenate([left, right]))
 
 
@@ -130,6 +132,7 @@ def solve_opt(
     multimodal, so every local minimum bracket found on a coarse mixed
     log/linear grid is refined by golden section and the global best kept.
     """
+    _check_solver_settings(grid_points, tol)
     n, w = params.n, params.w
     opt: List[float] = [0.0, 0.0]
     p: List[float] = [math.nan, 1.0]

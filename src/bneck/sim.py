@@ -5,7 +5,9 @@ entrant count i is one Binomial(m, q) draw.  At an empty queue the run of
 no-entry steps is a geometric self-loop sampled in one shot, which changes
 nothing in distribution, and one uniform draws i conditional on i >= 1.  The
 chain moves to (m - i, k + i - 1); a lone agent outside a non-empty queue
-waits out the drain and enters at step + k.
+waits out the drain and enters at step + k.  An idle wait longer than the
+step cap, or one at which the int64 geometric draw saturates, ends the
+trial as truncated.
 
 Only the step t_j at which queue position j entered is kept.  One head is
 served per step, so position j is served at s_j = max(t_j, s_{j-1} + 1) and
@@ -40,6 +42,8 @@ from .model import (
 )
 
 __all__ = ["SimReport", "simulate_once", "simulate", "trial_rng"]
+
+_GEOMETRIC_CEILING = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,16 @@ def simulate_once(
             entry_steps.append(steps + k)
             m, k, steps = 0, 0, steps + k + 1
             continue
-        q = profile.dynamics_q(QueueState(m, k))
+        q = profile.q(QueueState(m, k))
         if k == 0:
             if q <= 0.0:
                 break
             if q < 1.0:
-                waited = int(rng.geometric(min(1.0, one_minus_pow(q, m)))) - 1
-                if steps + waited > max_steps:
+                draw = int(rng.geometric(min(1.0, one_minus_pow(q, m))))
+                # a draw at the int64 ceiling is clamped, not a real wait
+                if draw == _GEOMETRIC_CEILING or steps + draw - 1 > max_steps:
                     break
-                steps += waited
+                steps += draw - 1
             # entrant count conditional on at least one entering
             cdf = np.cumsum(_binom_row(m, q)[1:])
             i = 1 + int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))

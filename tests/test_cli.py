@@ -135,6 +135,21 @@ class TestSim:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["sim", "--trials", "10"]) == EXIT_BAD_INPUT
 
+    def test_csv_matches_json(self, tmp_path):
+        args = ["sim", "--from-eq", "3", "10", "--trials", "500", "--seed", "4"]
+        _, text = run(args, tmp_path, "json")
+        doc = json.loads(text)
+        code, text = run(args + ["--format", "csv"], tmp_path, "csv")
+        assert code == EXIT_OK
+        header, row = list(csv.reader(io.StringIO(text)))
+        assert header == [
+            "n", "w", "trials", "seed", "mean_total", "std_error", "per_agent_mean",
+            "max_steps_hit",
+        ]
+        for name, cell in zip(header, row):
+            value = doc[name]
+            assert cell == (f"{value:.12g}" if isinstance(value, float) else str(value))
+
 
 class TestProfileDocument:
     def test_unknown_field_rejected(self):
@@ -204,6 +219,23 @@ def test_non_finite_w_exits_bad_input(args, tmp_path):
     pfile = tmp_path / "inf.json"
     pfile.write_text('{"n": 2, "w": Infinity, "entries": [{"m": 2, "k": 0, "q": 0.5}]}')
     args = [a.format(profile=pfile) for a in args]
+    assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["opt", "--n", "3", "--w", "3", "--grid", "0"],
+        ["opt", "--n", "3", "--w", "3", "--grid", "1"],
+        ["opt", "--n", "2", "--w", "3", "--tol", "nan"],
+        ["opt", "--n", "2", "--w", "3", "--tol", "inf"],
+        ["eq", "--n", "4", "--w", "3", "--tol", "inf"],
+        ["eq", "--n", "4", "--w", "3", "--tol", "0"],
+        ["eq", "--n", "4", "--w", "3", "--tol", "-1"],
+    ],
+    ids=lambda args: f"{args[0]}_{args[-2][2:]}_{args[-1]}",
+)
+def test_bad_solver_settings_exit_bad_input(args, tmp_path):
     assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
 
 

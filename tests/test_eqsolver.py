@@ -77,6 +77,13 @@ class TestSolveState:
         with pytest.raises(InvalidParameterError):
             solve_state(S(1, 0), 8.0, {})
 
+    @pytest.mark.parametrize(
+        "grid, tol", [(0, 1e-12), (1, 1e-12), (512, 0.0), (512, math.nan), (512, math.inf)]
+    )
+    def test_bad_settings_rejected(self, grid, tol):
+        with pytest.raises(InvalidParameterError):
+            solve_state(S(2, 0), 8.0, {S(1, 0): 0.0}, grid_points=grid, tol=tol)
+
 
 class TestSolveEquilibrium:
     def test_two_player(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bneck.eqsolver import profile_cost_table
 from bneck.model import (
     CostRole,
     CostTable,
@@ -234,6 +235,19 @@ class TestTotalCostEvaluate:
             assert total == pytest.approx(
                 oracles.total_cost_direct(p, n, w), rel=1e-10
             )
+
+    def test_unreachable_never_entering_states_are_infinite(self):
+        # (3, 0) sends everybody in at once, so the never-entering (2, 0) and
+        # the (2, 1) that reaches it are off the path of play
+        entries = {S(3, 0): 1.0, S(2, 0): 0.0, S(2, 1): 0.5}
+        entries.update((S(1, k), 1.0) for k in range(3))
+        profile, params = EntryProfile(entries), GameParams(3, 8.0)
+        table, total = total_cost_evaluate(profile, params)
+        assert total == pytest.approx(3 * 8.0, rel=1e-14)
+        assert table[S(2, 0)] == math.inf
+        assert table[S(2, 1)] == math.inf
+        with pytest.raises(DivergentCostError):
+            profile_cost_table(profile, params)
 
     def test_lone_agent_rule_zero_cost_for_heads_off_path(self):
         # T(1, k) must price the wait-out behavior: k + w k(k-1)/2

@@ -75,6 +75,13 @@ class TestSolveOpt:
         assert sol.p[2] == pytest.approx(p, abs=1e-6)
         assert sol.opt[2] == pytest.approx(opt, rel=1e-6)
 
+    def test_two_point_grid_reaches_p_one(self):
+        # the coarsest grid the settings accept still scans up to p = 1
+        sol = solve_opt(GameParams(2, 3.0), grid_points=2)
+        p, opt = opt_closed_form_2p(3.0)
+        assert sol.p[2] == pytest.approx(p, abs=1e-6)
+        assert sol.opt[2] == pytest.approx(opt, rel=1e-12)
+
     def test_n1(self):
         sol = solve_opt(GameParams(1, 5.0))
         assert sol.opt == (0.0, 0.0)

@@ -55,6 +55,14 @@ class TestSimulateOnce:
             hits += truncated
         assert hits > 0
 
+    def test_saturated_idle_wait_is_truncated(self):
+        # q(2, 0) = 1e-300 makes the idle wait about 5e299 steps, past the
+        # int64 ceiling at which rng.geometric saturates
+        params = GameParams(2, 8.0)
+        profile = EntryProfile.from_empty_queue_probs([0.0, 1.0, 1e-300], 2)
+        *_, truncated = simulate_once(profile, params, trial_rng(0, 0))
+        assert truncated
+
 
 class TestSimulate:
     def test_reproducible(self):
