@@ -462,25 +462,6 @@ class BoundsReport:
         return not self.hard_failures
 
 
-def _entry(
-    name: str,
-    formula: str,
-    bound: float,
-    observed: float,
-    direction: str,
-    advisory: bool,
-    rel: float = DEFAULT_REL_TOL,
-    note: str = "",
-) -> BoundEntry:
-    if direction == "upper":
-        ok = observed <= bound + _tol(bound, rel)
-    else:
-        ok = observed >= bound - _tol(bound, rel)
-    return BoundEntry(
-        name, formula, float(bound), float(observed), direction, bool(ok), advisory, note
-    )
-
-
 def bounds_report(
     eq: EquilibriumSolution,
     opt: OptSolution,
@@ -489,251 +470,187 @@ def bounds_report(
 ) -> BoundsReport:
     """One entry per bound, hard or advisory, for a solved (n, w).
 
-    ``eq`` and ``opt`` must describe the same game.  Hard entries: the
-    per-state cost floor, the entry-probability floor, both equilibrium
-    ceilings (sqrt form at eps=1), the expected-wait chain inequality, the
-    OPT sandwich between n(n-1)/2 and both heuristic-profile costs, and the
-    stage-increment ceiling.  Everything threshold-dependent is advisory.
+    ``eq`` and ``opt`` must describe the same game, with n >= 2, and ``eps``
+    must be finite and > 0.  Hard entries: the per-state cost floor, the
+    entry-probability floor, both equilibrium ceilings (sqrt form at eps=1),
+    the expected-wait chain inequality, the OPT sandwich between n(n-1)/2 and
+    both heuristic-profile costs, and the stage-increment ceiling.
+    Everything threshold-dependent is advisory.
     """
     if eq.params != opt.params:
         raise InvalidParameterError(
             f"parameter mismatch: eq has {eq.params}, opt has {opt.params}"
         )
-    n, w = eq.params.n, eq.params.w
     params = eq.params
+    n, w = params.n, params.w
+    if n < 2:
+        raise InvalidParameterError(f"bounds require n >= 2, got n={n}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
     entries: List[BoundEntry] = []
+
+    def row(name, formula, bound, observed, direction, advisory, note="", passed=None):
+        """Append one entry; unless given, passed is the tolerance test in direction."""
+        bound, observed = float(bound), float(observed)
+        if passed is None:
+            slack = _tol(bound, rel_tol)
+            if direction == "upper":
+                passed = observed <= bound + slack
+            else:
+                passed = observed >= bound - slack
+        entries.append(
+            BoundEntry(name, formula, bound, observed, direction, bool(passed), advisory, note)
+        )
+
     c_n = eq.per_player_cost
     eq_total = eq.total_cost
     opt_total = opt.total_cost
     sc = sc_unrestricted(n)
 
     if w > 2.0:
-        worst_state = min(
-            (eq.per_player[s] - (s.total - 1), s) for s in enumerate_states(n)
+        # each worst case is the smallest (margin, key) pair: ties go to the smaller key
+        _, s = min((eq.per_player[s] - (s.total - 1), s) for s in enumerate_states(n))
+        row(
+            "per_player_floor",
+            "c(m,k) >= m+k-1",
+            s.total - 1,
+            eq.per_player[s],
+            "lower",
+            advisory=False,
+            note=f"worst state {s}",
         )
-        entries.append(
-            _entry(
-                "per_player_floor",
-                "c(m,k) >= m+k-1",
-                worst_state[1].total - 1,
-                eq.per_player[worst_state[1]],
-                "lower",
-                advisory=False,
-                rel=rel_tol,
-                note=f"worst state {worst_state[1]}",
-            )
-        )
-        worst_q = min(
-            (
-                eq.profile.q(s) - entry_prob_lower(s.m, s.k, w),
-                s,
-            )
+        _, s = min(
+            (eq.profile.q(s) - entry_prob_lower(s.m, s.k, w), s)
             for s in enumerate_states(n)
             if s.m >= 2
         )
-        entries.append(
-            _entry(
-                "entry_prob_floor",
-                "q(m,k) >= (2/w)(1-k(w-1)/(m-1))",
-                entry_prob_lower(worst_q[1].m, worst_q[1].k, w),
-                eq.profile.q(worst_q[1]),
-                "lower",
-                advisory=False,
-                rel=rel_tol,
-                note=f"worst state {worst_q[1]}",
-            )
+        row(
+            "entry_prob_floor",
+            "q(m,k) >= (2/w)(1-k(w-1)/(m-1))",
+            entry_prob_lower(s.m, s.k, w),
+            eq.profile.q(s),
+            "lower",
+            advisory=False,
+            note=f"worst state {s}",
         )
-        entries.append(
-            _entry(
-                "eq_upper_small_w",
-                "c(n,0) <= n + w(2+ln n)/2",
-                eq_upper_small_w(n, w),
-                c_n,
-                "upper",
-                advisory=False,
-                rel=rel_tol,
-            )
+        row(
+            "eq_upper_small_w",
+            "c(n,0) <= n + w(2+ln n)/2",
+            eq_upper_small_w(n, w),
+            c_n,
+            "upper",
+            advisory=False,
         )
-        entries.append(
-            _entry(
-                "eq_upper_large_w",
-                "c(n,0) <= e/(e-1)n + 2 sqrt(w) sqrt(n+2 sqrt(n-1))",
-                eq_upper_large_w(n, w, 1.0),
-                c_n,
-                "upper",
-                advisory=False,
-                rel=rel_tol,
-            )
+        row(
+            "eq_upper_large_w",
+            "c(n,0) <= e/(e-1)n + 2 sqrt(w) sqrt(n+2 sqrt(n-1))",
+            eq_upper_large_w(n, w, 1.0),
+            c_n,
+            "upper",
+            advisory=False,
         )
         if eps < 1.0:
-            entries.append(
-                _entry(
-                    "eq_upper_large_w_eps",
-                    "c(n,0) <= e/(e-1)n + (1+eps) sqrt(w) sqrt(n+2 sqrt(n-1))",
-                    eq_upper_large_w(n, w, eps),
-                    c_n,
-                    "upper",
-                    advisory=True,
-                    rel=rel_tol,
-                )
+            row(
+                "eq_upper_large_w_eps",
+                "c(n,0) <= e/(e-1)n + (1+eps) sqrt(w) sqrt(n+2 sqrt(n-1))",
+                eq_upper_large_w(n, w, eps),
+                c_n,
+                "upper",
+                advisory=True,
             )
         if eps < 0.5:
-            lo_sum, lo_simple = eq_lower_large_w(n, w, eps)
-            entries.append(
-                _entry(
-                    "eq_lower_large_w",
+            for name, formula, bound in zip(
+                ("eq_lower_large_w", "eq_lower_large_w_simple"),
+                (
                     "c(n,0) >= (1-2eps)^(n-1) sqrt(w)/2 sum 1/(1+sqrt(i))",
-                    lo_sum,
-                    c_n,
-                    "lower",
-                    advisory=True,
-                    rel=rel_tol,
-                )
-            )
-            entries.append(
-                _entry(
-                    "eq_lower_large_w_simple",
                     "c(n,0) >= (1-2eps)^(n-1) sqrt(w(n-2 ln n))",
-                    lo_simple,
-                    c_n,
-                    "lower",
-                    advisory=True,
-                    rel=rel_tol,
-                )
-            )
+                ),
+                eq_lower_large_w(n, w, eps),
+            ):
+                row(name, formula, bound, c_n, "lower", advisory=True)
         # expected-wait chain: 1/(1-(1-q_{m,0})^(m-1)) + phi(m-1,0) <= phi(m,0)
         phi = phi_harmonic(w)
-        worst_margin, worst_m = math.inf, None
-        for m in range(2, n + 1):
-            q = eq.profile.q(QueueState(m, 0))
-            lhs = 1.0 / one_minus_pow(q, m - 1) + phi(m - 1, 0)
-            margin = phi(m, 0) - lhs
-            if margin < worst_margin:
-                worst_margin, worst_m = margin, m
-        entries.append(
-            _entry(
-                "expected_wait_chain",
-                "1/(1-(1-q(m,0))^(m-1)) + phi(m-1,0) <= phi(m,0)",
-                0.0,
-                -worst_margin,
-                "upper",
-                advisory=False,
-                rel=rel_tol,
-                note=f"worst m={worst_m}",
+        margin, m = min(
+            (
+                phi(m, 0)
+                - (1.0 / one_minus_pow(eq.profile.q(QueueState(m, 0)), m - 1) + phi(m - 1, 0)),
+                m,
             )
+            for m in range(2, n + 1)
+        )
+        row(
+            "expected_wait_chain",
+            "1/(1-(1-q(m,0))^(m-1)) + phi(m-1,0) <= phi(m,0)",
+            0.0,
+            -margin,
+            "upper",
+            advisory=False,
+            note=f"worst m={m}",
         )
         vanish = prob_vanishing_check(eq, eps)
         n_vanish = sum(1 for v in vanish if v.satisfied)
-        entries.append(
-            BoundEntry(
-                name="prob_vanishing",
-                formula="q(m,0)(m-1) <= eps and q(m,k>=1) = 0",
-                bound=eps,
-                observed=max(v.value for v in vanish),
-                direction="upper",
-                passed=n_vanish == len(vanish),
-                advisory=True,
-                note=f"{n_vanish}/{len(vanish)} states in vanishing regime",
-            )
+        row(
+            "prob_vanishing",
+            "q(m,0)(m-1) <= eps and q(m,k>=1) = 0",
+            eps,
+            max(v.value for v in vanish),
+            "upper",
+            advisory=True,
+            note=f"{n_vanish}/{len(vanish)} states in vanishing regime",
+            passed=n_vanish == len(vanish),
         )
     else:
         expected = w * n * (n - 1) / 2.0
-        entries.append(
-            BoundEntry(
-                name="small_w_total",
-                formula="total = w n(n-1)/2 for w <= 2",
-                bound=expected,
-                observed=eq_total,
-                direction="upper",
-                passed=abs(eq_total - expected) <= _tol(expected, 1e-12),
-                advisory=False,
-                note="all-enter regime; equality expected",
-            )
-        )
-        entries.append(
-            _entry(
-                "small_w_ratio",
-                "eq/SC = w <= 2",
-                2.0,
-                eq_total / sc if sc > 0 else math.nan,
-                "upper",
-                advisory=False,
-                rel=rel_tol,
-            )
-        )
-
-    entries.append(
-        _entry(
-            "opt_lower_sc",
-            "OPT >= n(n-1)/2",
-            sc,
-            opt_total,
-            "lower",
+        row(
+            "small_w_total",
+            "total = w n(n-1)/2 for w <= 2",
+            expected,
+            eq_total,
+            "upper",
             advisory=False,
-            rel=rel_tol,
+            note="all-enter regime; equality expected",
+            passed=abs(eq_total - expected) <= _tol(expected, 1e-12),
         )
-    )
+        row("small_w_ratio", "eq/SC = w <= 2", 2.0, eq_total / sc, "upper", advisory=False)
+
+    row("opt_lower_sc", "OPT >= n(n-1)/2", sc, opt_total, "lower", advisory=False)
     if w > 2.0:
         for tag, prof_fn in (
             ("small_w", heuristic_profile_small_w),
             ("large_w", heuristic_profile_large_w),
         ):
-            p = prof_fn(n, w)
-            profile = EntryProfile.from_empty_queue_probs(p, n)
+            profile = EntryProfile.from_empty_queue_probs(prof_fn(n, w), n)
             _, cost = total_cost_evaluate(profile, params)
-            entries.append(
-                _entry(
-                    f"opt_upper_heuristic_{tag}",
-                    f"OPT <= cost of {tag} heuristic profile",
-                    cost,
-                    opt_total,
-                    "upper",
-                    advisory=False,
-                    rel=rel_tol,
-                )
+            row(
+                f"opt_upper_heuristic_{tag}",
+                f"OPT <= cost of {tag} heuristic profile",
+                cost,
+                opt_total,
+                "upper",
+                advisory=False,
             )
         alpha = opt.p[n] * n
         if 0.0 < alpha < n:
-            entries.append(
-                _entry(
-                    "opt_increment_upper",
-                    "OPT(n) - OPT(n-1) <= stage increment bound",
-                    opt_recursive_upper(n, w, alpha),
-                    opt.opt[n] - opt.opt[n - 1],
-                    "upper",
-                    advisory=False,
-                    rel=rel_tol,
-                )
+            row(
+                "opt_increment_upper",
+                "OPT(n) - OPT(n-1) <= stage increment bound",
+                opt_recursive_upper(n, w, alpha),
+                opt.opt[n] - opt.opt[n - 1],
+                "upper",
+                advisory=False,
             )
         ob = opt_bounds_large_w(n, w, min(eps, 1.0 - 1e-9))
-        entries.append(
-            _entry(
-                "opt_large_w_lower",
-                "OPT >= (1-eps) sqrt(2w) sum sqrt(i)",
-                ob.lower_sum,
-                opt_total,
-                "lower",
-                advisory=True,
-                rel=rel_tol,
-            )
-        )
-        entries.append(
-            _entry(
-                "opt_large_w_upper",
-                "OPT <= (1+eps) sqrt(2w) sum sqrt(i)",
-                ob.upper_sum,
-                opt_total,
-                "upper",
-                advisory=True,
-                rel=rel_tol,
-            )
-        )
+        for name, formula, bound, direction in (
+            ("opt_large_w_lower", "OPT >= (1-eps) sqrt(2w) sum sqrt(i)", ob.lower_sum, "lower"),
+            ("opt_large_w_upper", "OPT <= (1+eps) sqrt(2w) sum sqrt(i)", ob.upper_sum, "upper"),
+        ):
+            row(name, formula, bound, opt_total, direction, advisory=True)
 
     targets = ratio_targets(n, w)
     ratios = {
-        "ratio_eq_sc": float(eq_total / sc) if sc > 0 else math.nan,
-        "ratio_eq_opt": float(eq_total / opt_total) if opt_total > 0 else math.nan,
-        "ratio_opt_sc": float(opt_total / sc) if sc > 0 else math.nan,
+        "ratio_eq_sc": float(eq_total / sc),
+        "ratio_eq_opt": float(eq_total / opt_total),
+        "ratio_opt_sc": float(opt_total / sc),
         "target_fixed_w": targets.fixed_w,
         "target_large_w_eq_sc": targets.large_w_eq_sc,
         "target_large_w_eq_opt": targets.large_w_eq_opt,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -75,6 +76,12 @@ _POLICIES = {
 
 def _num(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return _num(v) if isinstance(v, float) else str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +153,13 @@ def load_profile_document(path: str) -> Tuple[EntryProfile, GameParams]:
 
 
 def _write(text: str, out: Optional[str]):
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _json_text(doc: dict) -> str:
@@ -212,14 +217,7 @@ def cmd_eq(args) -> int:
         _write(_json_text(_eq_document(sol, args.grid, args.tol)), args.out)
     else:
         rows = [
-            [
-                str(args.n),
-                _num(args.w),
-                str(s.m),
-                str(s.k),
-                _num(sol.profile.q(s)),
-                _num(sol.per_player[s]),
-            ]
+            [_csv_cell(v) for v in (args.n, args.w, s.m, s.k, sol.profile.q(s), sol.per_player[s])]
             for s in enumerate_states(args.n)
         ]
         _write(_csv_text(["n", "w", "m", "k", "q", "cost"], rows), args.out)
@@ -280,8 +278,7 @@ def cmd_sim(args) -> int:
     if args.format == "json":
         _write(_json_text({"command": "sim", **fields}), args.out)
     else:
-        row = [_num(v) if isinstance(v, float) else str(v) for v in fields.values()]
-        _write(_csv_text(list(fields), [row]), args.out)
+        _write(_csv_text(list(fields), [[_csv_cell(v) for v in fields.values()]]), args.out)
     return EXIT_OK
 
 
@@ -291,55 +288,32 @@ def _bounds_document(report) -> dict:
         "n": report.params.n,
         "w": report.params.w,
         "eps": report.eps_used,
-        "entries": [
-            {
-                "name": e.name,
-                "formula": e.formula,
-                "bound": e.bound,
-                "observed": e.observed,
-                "direction": e.direction,
-                "passed": e.passed,
-                "advisory": e.advisory,
-                "note": e.note,
-            }
-            for e in report.entries
-        ],
+        "entries": [dataclasses.asdict(e) for e in report.entries],
         "ratios": report.ratios,
         "hard_failures": len(report.hard_failures),
         "passed": report.passed,
     }
 
 
-def cmd_bounds(args) -> int:
-    params = GameParams(args.n, args.w)
-    if args.n < 2:
-        raise InvalidParameterError("bounds requires n >= 2")
-    eq = solve_equilibrium(params, _POLICIES[args.policy])
+def _solve_and_bound(n: int, w: float, policy: str, eps: float):
+    """Solve G(n; w) for the equilibrium and the optimum and check every bound."""
+    params = GameParams(n, w)
+    eq = solve_equilibrium(params, _POLICIES[policy])
     opt = solve_opt(params)
-    report = bounds_mod.bounds_report(eq, opt, args.eps)
+    return eq, opt, bounds_mod.bounds_report(eq, opt, eps)
+
+
+def cmd_bounds(args) -> int:
+    _, _, report = _solve_and_bound(args.n, args.w, args.policy, args.eps)
     if args.format == "json":
         _write(_json_text(_bounds_document(report)), args.out)
     else:
+        columns = ["name", "bound", "observed", "direction", "passed", "advisory"]
         rows = [
-            [
-                str(args.n),
-                _num(args.w),
-                e.name,
-                _num(e.bound),
-                _num(e.observed),
-                e.direction,
-                str(e.passed).lower(),
-                str(e.advisory).lower(),
-            ]
+            [str(args.n), _num(args.w)] + [_csv_cell(getattr(e, c)) for c in columns]
             for e in report.entries
         ]
-        _write(
-            _csv_text(
-                ["n", "w", "name", "bound", "observed", "direction", "passed", "advisory"],
-                rows,
-            ),
-            args.out,
-        )
+        _write(_csv_text(["n", "w", *columns], rows), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -356,10 +330,7 @@ def _parse_range(spec: str) -> List[int]:
 
 def _sweep_cell(cell: Tuple[int, float, str, float]) -> List[str]:
     n, w, policy_name, eps = cell
-    params = GameParams(n, w)
-    eq = solve_equilibrium(params, _POLICIES[policy_name])
-    opt = solve_opt(params)
-    report = bounds_mod.bounds_report(eq, opt, eps)
+    eq, opt, report = _solve_and_bound(n, w, policy_name, eps)
     sc = sc_unrestricted(n)
     return [
         str(n),
@@ -370,9 +341,9 @@ def _sweep_cell(cell: Tuple[int, float, str, float]) -> List[str]:
         _num(eq.total_cost),
         _num(opt.total_cost),
         _num(sc),
-        _num(eq.total_cost / sc),
-        _num(eq.total_cost / opt.total_cost),
-        _num(opt.total_cost / sc),
+        _num(report.ratios["ratio_eq_sc"]),
+        _num(report.ratios["ratio_eq_opt"]),
+        _num(report.ratios["ratio_opt_sc"]),
         str(len(report.hard_failures)),
     ]
 
@@ -503,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="bound and ratio report for one game")
     common(p)
-    p.add_argument("--eps", type=float, default=0.5, help="slack for advisory bounds")
+    p.add_argument(
+        "--eps", type=float, default=0.5, help="slack for advisory bounds (finite, > 0)"
+    )
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("sweep", help="CSV sweep over n and w")
@@ -512,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policy", choices=sorted(_POLICIES), default="smallest"
     )
-    p.add_argument("--eps", type=float, default=0.5)
+    p.add_argument(
+        "--eps", type=float, default=0.5, help="slack for advisory bounds (finite, > 0)"
+    )
     p.add_argument("--out", default=None, help="output CSV file (default stdout)")
     p.set_defaults(fn=cmd_sweep)
 

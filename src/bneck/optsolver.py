@@ -94,11 +94,16 @@ def _stage_cost_grid(
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> Tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [a, b]."""
+    """Golden-section minimum of a unimodal f on [a, b].
+
+    Stops when the bracket is within tol relative, 1e-18 absolute, or 4 ulps
+    of b: a float bracket cannot shrink much below one ulp, so a tiny tol
+    would otherwise never end the loop.
+    """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol * max(1e-12, abs(a) + abs(b)) and (b - a) > 1e-18:
+    while (b - a) > max(tol * max(1e-12, abs(a) + abs(b)), 4.0 * math.ulp(b), 1e-18):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -196,3 +196,60 @@ class TestBoundsReport:
         report = bounds_report(solve_equilibrium(params), solve_opt(params))
         entry = next(e for e in report.entries if e.name == "expected_wait_chain")
         assert entry.passed and not entry.advisory
+
+    def test_n1_rejected(self):
+        params = GameParams(1, 3.0)
+        with pytest.raises(InvalidParameterError):
+            bounds_report(solve_equilibrium(params), solve_opt(params))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("w", [1.5, 3.0])
+    def test_bad_eps_rejected(self, w, eps):
+        params = GameParams(3, w)
+        with pytest.raises(InvalidParameterError):
+            bounds_report(solve_equilibrium(params), solve_opt(params), eps)
+
+
+_ADVISORY_EPS_ROWS = {
+    1.0: [],
+    0.9: [("eq_upper_large_w_eps", True)],
+    0.3: [
+        ("eq_upper_large_w_eps", True),
+        ("eq_lower_large_w", True),
+        ("eq_lower_large_w_simple", True),
+    ],
+}
+
+
+class TestReportLayout:
+    """Which entries each branch reports, in order, with their advisory flags."""
+
+    def layout(self, w, eps):
+        params = GameParams(4, w)
+        report = bounds_report(solve_equilibrium(params), solve_opt(params), eps)
+        return [(e.name, e.advisory) for e in report.entries]
+
+    def test_small_w(self):
+        assert self.layout(1.5, 0.5) == [
+            ("small_w_total", False),
+            ("small_w_ratio", False),
+            ("opt_lower_sc", False),
+        ]
+
+    @pytest.mark.parametrize("eps", sorted(_ADVISORY_EPS_ROWS))
+    def test_large_w(self, eps):
+        assert self.layout(3.0, eps) == [
+            ("per_player_floor", False),
+            ("entry_prob_floor", False),
+            ("eq_upper_small_w", False),
+            ("eq_upper_large_w", False),
+            *_ADVISORY_EPS_ROWS[eps],
+            ("expected_wait_chain", False),
+            ("prob_vanishing", True),
+            ("opt_lower_sc", False),
+            ("opt_upper_heuristic_small_w", False),
+            ("opt_upper_heuristic_large_w", False),
+            ("opt_increment_upper", False),
+            ("opt_large_w_lower", True),
+            ("opt_large_w_upper", True),
+        ]

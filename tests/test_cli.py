@@ -239,6 +239,19 @@ def test_bad_solver_settings_exit_bad_input(args, tmp_path):
     assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("w", ["1.5", "3"])
+@pytest.mark.parametrize(
+    "args",
+    [["bounds", "--n", "3", "--w"], ["sweep", "--n-range", "2:3", "--w-list"]],
+    ids=lambda args: args[0],
+)
+def test_bad_eps_exits_bad_input(args, w, eps, tmp_path):
+    out = tmp_path / "out"
+    assert main(args + [w, "--eps", eps, "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
+
+
 class TestBounds:
     def test_pass_exit0(self, tmp_path, schema):
         code, text = run(

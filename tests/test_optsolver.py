@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -81,6 +84,22 @@ class TestSolveOpt:
         p, opt = opt_closed_form_2p(3.0)
         assert sol.p[2] == pytest.approx(p, abs=1e-6)
         assert sol.opt[2] == pytest.approx(opt, rel=1e-12)
+
+    def test_tiny_tol_returns(self):
+        # a bracket cannot shrink below about one ulp, so the search must stop there;
+        # a child process turns a hang into a failure after 60 s
+        code = (
+            "from bneck.model import GameParams\n"
+            "from bneck.optsolver import solve_opt\n"
+            "print(repr(solve_opt(GameParams(2, 3.0), tol=1e-17).p[2]))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(opt_closed_form_2p(3.0)[0], abs=1e-6)
 
     def test_n1(self):
         sol = solve_opt(GameParams(1, 5.0))
