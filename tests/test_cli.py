@@ -232,6 +232,7 @@ def test_non_finite_w_exits_bad_input(args, tmp_path):
         ["eq", "--n", "4", "--w", "3", "--tol", "inf"],
         ["eq", "--n", "4", "--w", "3", "--tol", "0"],
         ["eq", "--n", "4", "--w", "3", "--tol", "-1"],
+        ["sim", "--from-eq", "3", "10", "--trials", "10", "--max-steps", "-5"],
     ],
     ids=lambda args: f"{args[0]}_{args[-2][2:]}_{args[-1]}",
 )

@@ -8,14 +8,29 @@ from bneck.eqsolver import solve_equilibrium
 from bneck.model import (
     EntryProfile,
     GameParams,
+    InvalidParameterError,
     NonTerminatingProfileError,
     QueueState,
     total_cost_evaluate,
 )
 from bneck.optsolver import solve_opt
-from bneck.sim import _position_costs, simulate, simulate_once, trial_rng
+from bneck.sim import _BLOCK, _position_costs, simulate, simulate_once, trial_rng
 
 S = QueueState
+
+# the profile of test_mixed_entry_profile_priced_correctly: it also enters at
+# non-empty queues, so the block path makes every kind of move
+MIXED = EntryProfile(
+    {
+        S(3, 0): 0.6,
+        S(2, 0): 0.5,
+        S(2, 1): 0.4,
+        S(2, 2): 0.0,
+        S(1, 0): 1.0,
+        S(1, 1): 1.0,
+        S(1, 2): 1.0,
+    }
+)
 
 
 class TestSimulateOnce:
@@ -140,6 +155,83 @@ class TestSimulate:
         rep = simulate(profile, params, 40_000, seed=21)
         # would be ~0.3 off scaled by w if the lone agent entered a non-empty queue
         assert abs(rep.mean_total - analytic) <= 3 * rep.std_error
+
+    def test_negative_step_cap_rejected(self):
+        params = GameParams(3, 10.0)
+        profile = solve_equilibrium(params).profile
+        with pytest.raises(InvalidParameterError):
+            simulate(profile, params, 10, seed=0, max_steps=-5)
+
+
+class TestSimulateBlocks:
+    """The lockstep block path against the scalar reference ``simulate_once``."""
+
+    def test_truncations_counted(self):
+        params = GameParams(4, 50.0)
+        profile = solve_equilibrium(params).profile
+        rep = simulate(profile, params, 50, seed=1, max_steps=2)
+        assert rep.max_steps_hit > 0
+
+    def test_saturated_idle_wait_truncates_every_trial(self):
+        params = GameParams(2, 8.0)
+        profile = EntryProfile.from_empty_queue_probs([0.0, 1.0, 1e-300], 2)
+        rep = simulate(profile, params, 300, seed=0)
+        assert rep.max_steps_hit == 300
+
+    def test_zero_cap_charges_up_to_the_cap(self):
+        rep = simulate(EntryProfile.all_enter(3), GameParams(3, 2.0), 40, seed=0, max_steps=0)
+        assert rep.mean_total == 4.0
+        assert rep.std_error == 0.0
+        assert rep.max_steps_hit == 40
+
+    def test_zero_cap_charges_agents_outside(self):
+        # q(2, 0) = 1/2, w = 8, cap 0: no entry at step 0 costs 0 (prob 1/4);
+        # one entrant leaves the other outside for 1 step (1/2); two entrants
+        # make the second wait w (1/4).  Mean 2.5; a 5-SE gate
+        params = GameParams(2, 8.0)
+        profile = EntryProfile.from_empty_queue_probs([0.0, 1.0, 0.5], 2)
+        rep = simulate(profile, params, 20_000, seed=6, max_steps=0)
+        assert rep.max_steps_hit == 20_000
+        assert abs(rep.mean_total - 2.5) <= 5 * rep.std_error
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 20])
+    def test_all_enter_exact(self, n):
+        w = 2.5
+        rep = simulate(EntryProfile.all_enter(n), GameParams(n, w), 1500, seed=3)
+        assert rep.mean_total == w * n * (n - 1) / 2
+        assert rep.std_error == 0.0
+        assert rep.max_steps_hit == 0
+
+    def test_single_agent_costs_nothing(self):
+        rep = simulate(EntryProfile({S(1, 0): 1.0}), GameParams(1, 5.0), 10, seed=0)
+        assert rep.mean_total == 0.0
+        assert rep.agent_means == (0.0,)
+
+    @pytest.mark.parametrize("trials", [1, _BLOCK + 3])
+    def test_partial_block_reproducible(self, trials):
+        params = GameParams(3, 10.0)
+        profile = solve_equilibrium(params).profile
+        a = simulate(profile, params, trials, seed=4)
+        assert a == simulate(profile, params, trials, seed=4)
+        assert a.trials == trials
+        assert sum(a.agent_means) == pytest.approx(a.mean_total, rel=1e-9)
+        if trials == 1:
+            assert a.std_error == 0.0
+
+    @pytest.mark.parametrize("case", ["mixed", "lone_agent_3_10"])
+    def test_same_law_as_scalar_reference(self, case):
+        # two-sample z of the block path against a loop of simulate_once
+        if case == "mixed":
+            params, profile = GameParams(3, 4.0), MIXED
+        else:
+            params = GameParams(3, 10.0)
+            profile = solve_equilibrium(params).profile
+        rep = simulate(profile, params, 40_000, seed=31)
+        scalar = np.array(
+            [simulate_once(profile, params, trial_rng(32, t))[0] for t in range(8_000)]
+        )
+        se = math.hypot(rep.std_error, np.std(scalar, ddof=1) / math.sqrt(len(scalar)))
+        assert abs(rep.mean_total - scalar.mean()) <= 4 * se
 
 
 class TestTrialRng:
