@@ -16,9 +16,7 @@ from .model import (
     QueueState,
     binom_pmf,
     cost_enter,
-    cost_wait,
     enumerate_states,
-    step_cost_total,
     total_cost_evaluate,
 )
 from .eqsolver import (
@@ -26,7 +24,6 @@ from .eqsolver import (
     InternalInconsistencyError,
     RootPolicy,
     eq_closed_form_2p,
-    indifference_gap,
     profile_cost_table,
     solve_equilibrium,
     solve_state,

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
-from .eqsolver import EquilibriumSolution, solve_equilibrium
+from .eqsolver import EquilibriumSolution
 from .model import (
     EntryProfile,
     GameParams,
@@ -52,7 +52,6 @@ __all__ = [
     "aux_lemma_validators",
     "LemmaResult",
     "prob_vanishing_check",
-    "prob_vanishing_trend",
     "BoundEntry",
     "BoundsReport",
     "bounds_report",
@@ -411,23 +410,6 @@ def prob_vanishing_check(
         else:
             out.append(VanishingEntry(state, q, q <= tol))
     return out
-
-
-def prob_vanishing_trend(
-    n: int, w_values: Sequence[float], eps: float
-) -> Tuple[bool, List[float]]:
-    """Advisory trend: max_m q(m,0)*(m-1) non-increasing along a w sweep."""
-    worsts = []
-    for w in w_values:
-        eq = solve_equilibrium(GameParams(n, w))
-        worsts.append(
-            max(
-                eq.profile.q(QueueState(m, 0)) * (m - 1)
-                for m in range(2, n + 1)
-            )
-        )
-    ok = all(b <= a * (1.0 + 1e-9) for a, b in zip(worsts, worsts[1:]))
-    return ok, worsts
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,11 @@ scan endpoint always exists and is found by halving from 1/(m-1).
 
 Backward induction visits states m-major (m ascending, then k ascending):
 (m, k) needs only (m, k-1) and states with fewer agents outside.  All
-k >= 1 states of one m share one scan grid, so its binomial matrix is built
-once per m.  Solved costs live in a dense (n+1) x (n+1) array.
+k >= 1 states share one scan grid, built once per solve, and its binomial
+matrix is built once per m.  Solved costs live in a dense (n+1) x (n+1)
+array.  A scalar probe (the k = 0 endpoint search and every bisection
+step) writes its pmf row into per-m buffers (``model._PmfRow``) and
+returns the gap and the enter cost from one evaluation.
 """
 
 from __future__ import annotations
@@ -41,15 +44,13 @@ from .model import (
     GameParams,
     InvalidParameterError,
     QueueState,
-    _binom_consts,
     _binom_matrix,
-    _binom_row,
     _check_solver_settings,
+    _PmfRow,
     _profile_costs,
     _successor_values,
     _wait_cost,
     cost_enter,
-    cost_wait,
     enumerate_states,
 )
 
@@ -58,7 +59,6 @@ __all__ = [
     "StateDiagnostics",
     "EquilibriumSolution",
     "InternalInconsistencyError",
-    "indifference_gap",
     "solve_state",
     "solve_equilibrium",
     "profile_cost_table",
@@ -108,30 +108,20 @@ class EquilibriumSolution:
         return self.per_player[QueueState(self.params.n, 0)]
 
 
-def indifference_gap(
-    state: QueueState, q: float, w: float, continuation: Mapping[QueueState, float]
-) -> float:
-    """cost_enter - cost_wait at q; negative means entering is strictly better."""
-    return cost_enter(state, q, w) - cost_wait(state, q, w, continuation)
-
-
 class _BinomRows:
     """Binomial(m-1, q) pmf rows for every state with m agents outside."""
 
-    def __init__(self, m: int, grid_points: int):
+    def __init__(self, m: int, grid_points: int, upper_grid: np.ndarray):
         self.m = m
         self.grid_points = grid_points
-        self._consts = _binom_consts(m - 1)
+        self.row = _PmfRow(m - 1)
+        self._upper_grid = upper_grid
         self._scan = None
-
-    def row(self, q: float) -> np.ndarray:
-        return _binom_row(self.m - 1, q, self._consts)
 
     def scan(self) -> Tuple[np.ndarray, np.ndarray]:
         """The k >= 1 scan grid and its pmf matrix, built on first use."""
         if self._scan is None:
-            grid = _scan_grid(self.m, 1, _SCAN_LO, self.grid_points)
-            self._scan = grid, _binom_matrix(self.m - 1, grid)
+            self._scan = self._upper_grid, _binom_matrix(self.m - 1, self._upper_grid)
         return self._scan
 
 
@@ -151,9 +141,11 @@ class _GapEvaluator:
         """Gap at every q of ``qs``, given B = _binom_matrix(m-1, qs)."""
         return self.enter(qs) - _wait_cost(self.m, self.k, qs, B, self.cont)
 
-    def gap_scalar(self, q: float) -> float:
+    def probe(self, q: float) -> Tuple[float, float]:
+        """(gap, enter cost) at one q, from one pmf row."""
+        enter = self.enter(q)
         wait = _wait_cost(self.m, self.k, q, self.rows.row(q), self.cont)
-        return float(self.enter(q) - wait)
+        return float(enter - wait), enter
 
 
 def _certifies_no_entry(k: int, w: float, cont: np.ndarray) -> bool:
@@ -170,18 +162,18 @@ def _bisect(ev: _GapEvaluator, a: float, b: float, fa: float, fb: float, tol: fl
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        fm = ev.gap_scalar(mid)
-        if abs(fm) <= tol * max(1.0, abs(ev.enter(mid))):
+        fm, enter = ev.probe(mid)
+        if abs(fm) <= tol * max(1.0, abs(enter)):
             return mid, fm
         if (fm < 0.0) == (fa < 0.0):
             a, fa = mid, fm
         else:
             b, fb = mid, fm
     mid = 0.5 * (a + b)
-    return mid, ev.gap_scalar(mid)
+    return mid, ev.probe(mid)[0]
 
 
-def _scan_grid(m: int, k: int, lo: float, points: int) -> np.ndarray:
+def _scan_grid(k: int, lo: float, points: int) -> np.ndarray:
     half = max(points // 2, 2)
     left = np.geomspace(max(lo, _MIN_BRACKET), 1.0, half)
     right = np.linspace(lo if k >= 1 else max(lo, _MIN_BRACKET), 1.0, points - half)
@@ -206,11 +198,11 @@ def _solve_state_arrays(
     if k == 0:
         # push the lower endpoint down until waiting dominates entering
         lo = min(1.0, 1.0 / (m - 1))
-        flo = ev.gap_scalar(lo)
+        flo = ev.probe(lo)[0]
         while flo >= 0.0 and lo > _MIN_BRACKET:
             lo *= 0.5
-            flo = ev.gap_scalar(lo)
-        grid = _scan_grid(m, k, lo, rows.grid_points)
+            flo = ev.probe(lo)[0]
+        grid = _scan_grid(k, lo, rows.grid_points)
         gaps = ev.gap(grid, _binom_matrix(m - 1, grid))
     else:
         grid, B = rows.scan()
@@ -259,7 +251,7 @@ def solve_state(
         raise InvalidParameterError(f"solve_state needs m >= 2, got {state}")
     _check_solver_settings(grid_points, tol)
     cont = _successor_values(continuation, m, k, m - 1)
-    rows = _BinomRows(m, grid_points)
+    rows = _BinomRows(m, grid_points, _scan_grid(1, _SCAN_LO, grid_points))
     q, c, count, _ = _solve_state_arrays(rows, k, w, cont, policy, tol)
     return q, c, count
 
@@ -285,8 +277,9 @@ def solve_equilibrium(
     cost[1] = np.arange(n + 1)
     solved: List[List[Tuple[float, float, int, float]]] = [[] for _ in range(n + 1)]
     solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
+    upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
     for m in range(2, n + 1):
-        rows = _BinomRows(m, grid_points)
+        rows = _BinomRows(m, grid_points, upper_grid)
         for k in range(n - m + 1):
             cont = _successor_values(cost, m, k, m - 1)
             result = _solve_state_arrays(rows, k, w, cont, policy, tol)

@@ -11,9 +11,9 @@ Cost conventions used throughout:
 
 * ``cost_enter`` is the expected cost of entering now at (m, k) when each of
   the m-1 peers enters independently with probability q.
-* ``cost_wait`` is the expected cost of waiting one step and then paying the
-  continuation cost; at an empty queue the self-loop (nobody enters) is
-  resolved geometrically, which makes the function diverge as q -> 0+.
+* ``_wait_cost`` is the expected cost of waiting one step and then paying
+  the continuation cost; at an empty queue the self-loop (nobody enters) is
+  resolved geometrically, which makes it diverge as q -> 0+.
 * Lone-agent rule: an agent who is the last one outside enters as soon as
   the queue is empty.  His cost at (1, k) is therefore k (wait out the
   drain, then enter free).  Profiles store q=1 at (1, k) by convention, but
@@ -36,6 +36,7 @@ T(m, k) = m*v(m, k) + w*k*(k-1)/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -56,8 +57,6 @@ __all__ = [
     "binom_pmf",
     "one_minus_pow",
     "cost_enter",
-    "cost_wait",
-    "step_cost_total",
     "total_cost_evaluate",
 ]
 
@@ -197,15 +196,18 @@ def enumerate_states(n: int) -> List[QueueState]:
 
     Every continuation state of (m, k) has total m+k-1 and therefore
     precedes it.  The cost recursions visit states m-major instead (see the
-    module docstring) and report their tables in this order.
+    module docstring) and report their tables in this order.  Each call
+    returns a fresh list; the states in it are shared between calls.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    states = []
-    for total in range(1, n + 1):
-        for m in range(1, total + 1):
-            states.append(QueueState(m, total - m))
-    return states
+    return list(_states(n))
+
+
+@functools.lru_cache(maxsize=1)
+def _states(n: int) -> Tuple[QueueState, ...]:
+    """``enumerate_states(n)`` for the last n: a report asks several times."""
+    return tuple(QueueState(m, t - m) for t in range(1, n + 1) for m in range(1, t + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,7 @@ def _logfact(n: int) -> np.ndarray:
     global _logfact_cache
     if len(_logfact_cache) <= n:
         _logfact_cache = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+        _logfact_cache.flags.writeable = False
     return _logfact_cache
 
 
@@ -245,18 +248,45 @@ def _binom_consts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, m - i, lf[m] - lf[i] - lf[m - i]
 
 
-def _binom_row(m: int, q: float, consts=None) -> np.ndarray:
+def _binom_row(m: int, q: float) -> np.ndarray:
     """pmf over i = 0..m at a single q, log-space (internal fast path).
 
-    ``consts`` is ``_binom_consts(m)``, passed by callers that evaluate
-    many rows of one m.
+    Loops over q at one m use ``_PmfRow``, which gives the same rows.
     """
     if q <= 0.0 or q >= 1.0:
         row = np.zeros(m + 1)
         row[m if q >= 1.0 else 0] = 1.0
         return row
-    i, rest, logc = consts if consts is not None else _binom_consts(m)
+    i, rest, logc = _binom_consts(m)
     return np.exp(logc + i * math.log(q) + rest * math.log1p(-q))
+
+
+class _PmfRow:
+    """``_binom_row(m, q)`` for many q: constants and output hoisted out of the loop.
+
+    Interior rows take the same operations in the same order as
+    ``_binom_row``, so they are bit-identical to it.  Each call overwrites
+    the row the previous call returned.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        i, rest, logc = _binom_consts(m)
+        self._i, self._rest, self._logc = i.astype(float), rest.astype(float), logc
+        for a in (self._i, self._rest, self._logc):
+            a.flags.writeable = False
+        self._row = np.empty(m + 1)
+        self._tmp = np.empty(m + 1)
+
+    def __call__(self, q: float) -> np.ndarray:
+        if q <= 0.0 or q >= 1.0:
+            return _binom_row(self.m, q)
+        row, tmp = self._row, self._tmp
+        np.multiply(self._i, math.log(q), out=row)
+        np.add(self._logc, row, out=row)
+        np.multiply(self._rest, math.log1p(-q), out=tmp)
+        np.add(row, tmp, out=row)
+        return np.exp(row, out=row)
 
 
 def _binom_matrix(m: int, qs: np.ndarray) -> np.ndarray:
@@ -309,35 +339,6 @@ def cost_enter(state: QueueState, q: float, w: float) -> float:
     return (state.m - 1) / 2.0 * q * w + state.k * w
 
 
-def cost_wait(
-    state: QueueState,
-    q: float,
-    w: float,
-    continuation: Mapping[QueueState, float],
-) -> float:
-    """Expected cost of waiting one step at (m, k) with peers entering w.p. q.
-
-    For k >= 1: 1 + sum_i pmf(m-1, i, q) * c(m-i, k+i-1).
-    For k == 0 the no-entry self-loop is resolved geometrically, so the
-    result is (1 + sum_{i>=1} pmf * c(m-i, i-1)) / (1 - (1-q)^(m-1)); this
-    diverges as q -> 0+ and raises DivergentCostError at q == 0.
-    """
-    m, k = state.m, state.k
-    if m < 1:
-        raise InvalidParameterError(f"cost_wait needs m >= 1, got {state}")
-    if not 0.0 <= q <= 1.0:
-        raise InvalidParameterError(f"q must be in [0,1], got {q}")
-    if k == 0:
-        if m < 2:
-            raise InvalidParameterError("cost_wait at an empty queue needs m >= 2")
-        if q == 0.0:
-            raise DivergentCostError(
-                f"waiting cost at {state} diverges when nobody ever enters"
-            )
-    cont = _successor_values(continuation, m, k, m - 1)
-    return _wait_cost(m, k, q, _binom_row(m - 1, q), cont)
-
-
 def _successor_values(values, m: int, k: int, top: int) -> np.ndarray:
     """Values at (m - i, k - 1 + i), i = 0..top: where (m, k) moves when i enter.
 
@@ -363,10 +364,13 @@ def _successor_values(values, m: int, k: int, top: int) -> np.ndarray:
 
 
 def _wait_cost(m: int, k: int, q, rows: np.ndarray, cont: np.ndarray):
-    """``cost_wait`` at q (scalar or ndarray) from the pmf(m-1, ., q) rows.
+    """Expected cost of waiting one step at (m, k) with peers entering w.p. q.
 
-    ``cont`` comes from ``_successor_values``; at k = 0 its self-loop slot is
-    left out of the sum.
+    q is a scalar or an ndarray, and ``rows`` its pmf(m-1, ., q) rows.  For
+    k >= 1 this is 1 + sum_i pmf(m-1, i, q) * c(m-i, k+i-1).  For k == 0
+    the no-entry self-loop is resolved geometrically: the self-loop slot of
+    ``cont`` (from ``_successor_values``) is left out of the sum and the
+    result is divided by 1 - (1-q)^(m-1).
     """
     if k >= 1:
         return 1.0 + rows @ cont
@@ -388,7 +392,7 @@ def _profile_costs(
     v[1] = np.arange(n + 1)
     wait = np.zeros((n + 1, n + 1))
     for m in range(2, n + 1):
-        consts = _binom_consts(m - 1)
+        pmf = _PmfRow(m - 1)
         for k in range(n - m + 1):
             state = QueueState(m, k)
             q = profile.q(state)
@@ -398,7 +402,7 @@ def _profile_costs(
                 v[m, k] = wait[m, k] = 1.0 + v[m, k - 1] if k >= 1 else math.inf
                 continue
             c1 = cost_enter(state, q, w)
-            row = _binom_row(m - 1, q, consts)
+            row = pmf(q)
             cont = _successor_values(v, m, k, m - 1)
             cont[row == 0.0] = 0.0  # skips 0 * inf at never-ending successors
             wait[m, k] = _wait_cost(m, k, q, row, cont)
@@ -409,21 +413,6 @@ def _profile_costs(
                 stay = 1.0 + float(row @ cont)
                 v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
     return v, wait
-
-
-def step_cost_total(state: QueueState, i: int, w: float) -> float:
-    """Total social cost of one step in which i of the m outside agents enter.
-
-    If anybody is in the queue after entries, its head is processed free,
-    the other k+i-1 queued agents pay w each and the m-i agents still
-    outside pay 1 each; otherwise all m outside agents pay 1.
-    """
-    m, k = state.m, state.k
-    if not 0 <= i <= m:
-        raise InvalidParameterError(f"need 0 <= i <= m, got i={i} at {state}")
-    if k + i >= 1:
-        return (k + i - 1) * w + (m - i)
-    return float(m)
 
 
 def total_cost_evaluate(

@@ -11,6 +11,12 @@ stage m costs
 and OPT(m) minimizes this over p in (0, 1].  The continuation values do not
 depend on p_m, so stage-wise minimization is globally optimal within this
 class of profiles.
+
+Each stage builds its p-free increments w*i(i-1)/2 + i(m-i) + OPT(m-i)
+once; the grid scan and every golden-section probe share them.  A probe
+(``_StageCost``, also behind ``opt_stage_cost``) reads its pmf row through
+``model._PmfRow`` and sums the terms sequentially with np.add.accumulate,
+so it is bit-identical to a scalar loop over i.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from .model import (
     GameParams,
     InvalidParameterError,
     _binom_matrix,
-    _binom_row,
     _check_solver_settings,
+    _PmfRow,
     one_minus_pow,
 )
 
@@ -74,21 +80,45 @@ def opt_stage_cost(m: int, p: float, w: float, opt_prefix: Sequence[float]) -> f
         raise InvalidParameterError(f"p must be in (0,1], got {p}")
     if len(opt_prefix) < m:
         raise InvalidParameterError(f"opt_prefix must cover 0..{m - 1}")
-    row = _binom_row(m, p)
-    acc = 0.0
-    for i in range(1, m + 1):
-        if row[i] > 0.0:
-            acc += row[i] * (w * i * (i - 1) / 2.0 + i * (m - i) + opt_prefix[m - i])
-    return float((row[0] * m + acc) / one_minus_pow(p, m))
+    return _StageCost(m, _stage_increments(m, w, opt_prefix))(p)
 
 
-def _stage_cost_grid(
-    m: int, ps: np.ndarray, w: float, opt_prefix: Sequence[float]
-) -> np.ndarray:
-    B = _binom_matrix(m, ps)
+def _stage_increments(m: int, w: float, opt_prefix: Sequence[float]) -> np.ndarray:
+    """a_i = w*i(i-1)/2 + i(m-i) + OPT(m-i) for i = 1..m: the p-free part of stage m."""
     i = np.arange(1, m + 1, dtype=float)
-    inc = w * i * (i - 1) / 2.0 + i * (m - i)
-    inc += np.asarray([opt_prefix[m - j] for j in range(1, m + 1)])
+    with np.errstate(over="ignore"):  # w*i(i-1)/2 is inf at huge w, as in float math
+        inc = w * i * (i - 1) / 2.0 + i * (m - i)
+    inc += np.asarray(opt_prefix[:m], dtype=float)[::-1]
+    return inc
+
+
+class _StageCost:
+    """Stage-m cost at one p in (0, 1] against fixed increments a_1..a_m.
+
+    The pmf row comes from ``_PmfRow`` and the increments are built once
+    per stage.  The sum over i runs in order (``np.add.accumulate``), so
+    every probe is bit-identical to a scalar loop over i that skips terms
+    with a zero pmf weight.
+    """
+
+    def __init__(self, m: int, inc: np.ndarray):
+        self.m = m
+        self.inc = inc
+        self._pmf = _PmfRow(m)
+        self._terms = np.empty(m)
+
+    def __call__(self, p: float) -> float:
+        row = self._pmf(p)
+        terms = self._terms
+        # zero weights are skipped: at huge w an increment is inf and 0*inf is nan
+        terms.fill(0.0)
+        np.multiply(row[1:], self.inc, out=terms, where=row[1:] > 0.0)
+        acc = np.add.accumulate(terms, out=terms)[-1]
+        return float((row[0] * self.m + acc) / one_minus_pow(p, self.m))
+
+
+def _stage_cost_grid(m: int, ps: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    B = _binom_matrix(m, ps)
     num = B[:, 0] * m + B[:, 1:] @ inc
     return num / one_minus_pow(ps, m)
 
@@ -143,11 +173,9 @@ def solve_opt(
     p: List[float] = [math.nan, 1.0]
     for m in range(2, n + 1):
         grid = _stage_grid(m, grid_points)
-        vals = _stage_cost_grid(m, grid, w, opt)
-
-        def f(x: float, _m=m) -> float:
-            return opt_stage_cost(_m, x, w, opt)
-
+        inc = _stage_increments(m, w, opt)
+        vals = _stage_cost_grid(m, grid, inc)
+        f = _StageCost(m, inc)
         best_x, best_f = 1.0, float(vals[-1])
         padded = np.concatenate(([math.inf], vals, [math.inf]))
         for j in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):

@@ -1,17 +1,31 @@
-"""Independent oracles for the test suite.
+"""Oracles and reference implementations for the test suite.
 
-Everything here is written directly from the cost definitions with exact
+The oracles are written directly from the cost definitions with exact
 binomial coefficients (math.comb) and plain powers, on purpose sharing no
 code with the package's log-space/compensated implementations.  Grids stay
-above 1e-6 so the naive arithmetic is safe.
+above 1e-6 so the naive arithmetic is safe.  The reference implementations
+at the end are the exception: see their section.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from bneck.eqsolver import solve_equilibrium
+from bneck.model import (
+    DivergentCostError,
+    GameParams,
+    InvalidParameterError,
+    QueueState,
+    _binom_row,
+    _successor_values,
+    _wait_cost,
+    cost_enter,
+    one_minus_pow,
+)
 
 
 def binom_coeffs(m: int) -> np.ndarray:
@@ -158,3 +172,94 @@ def fifo_replay(entry_steps: Sequence[int], n: int, w: float, end: int) -> List[
         for j in range(joined, n):
             costs[j] += 1.0
     return costs
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations on the package's own arithmetic
+#
+# Unlike the oracles above, these call the package's log-space pmf row
+# (``_binom_row``) on purpose: they are the scalar paths the solvers'
+# probe kernels replaced, kept so tests can demand bit-identity (==) with
+# them.  cost_wait, indifference_gap, step_cost_total and
+# prob_vanishing_trend were public package functions that only tests used.
+
+
+def cost_wait(
+    state: QueueState,
+    q: float,
+    w: float,
+    continuation: Mapping[QueueState, float],
+) -> float:
+    """Expected cost of waiting one step at (m, k) with peers entering w.p. q.
+
+    For k >= 1: 1 + sum_i pmf(m-1, i, q) * c(m-i, k+i-1).
+    For k == 0 the no-entry self-loop is resolved geometrically, so the
+    result is (1 + sum_{i>=1} pmf * c(m-i, i-1)) / (1 - (1-q)^(m-1)); this
+    diverges as q -> 0+ and raises DivergentCostError at q == 0.
+    """
+    m, k = state.m, state.k
+    if m < 1:
+        raise InvalidParameterError(f"cost_wait needs m >= 1, got {state}")
+    if not 0.0 <= q <= 1.0:
+        raise InvalidParameterError(f"q must be in [0,1], got {q}")
+    if k == 0:
+        if m < 2:
+            raise InvalidParameterError("cost_wait at an empty queue needs m >= 2")
+        if q == 0.0:
+            raise DivergentCostError(
+                f"waiting cost at {state} diverges when nobody ever enters"
+            )
+    cont = _successor_values(continuation, m, k, m - 1)
+    return _wait_cost(m, k, q, _binom_row(m - 1, q), cont)
+
+
+def indifference_gap(
+    state: QueueState, q: float, w: float, continuation: Mapping[QueueState, float]
+) -> float:
+    """cost_enter - cost_wait at q; negative means entering is strictly better."""
+    return cost_enter(state, q, w) - cost_wait(state, q, w, continuation)
+
+
+def step_cost_total(state: QueueState, i: int, w: float) -> float:
+    """Total social cost of one step in which i of the m outside agents enter.
+
+    If anybody is in the queue after entries, its head is processed free,
+    the other k+i-1 queued agents pay w each and the m-i agents still
+    outside pay 1 each; otherwise all m outside agents pay 1.
+    """
+    m, k = state.m, state.k
+    if not 0 <= i <= m:
+        raise InvalidParameterError(f"need 0 <= i <= m, got i={i} at {state}")
+    if k + i >= 1:
+        return (k + i - 1) * w + (m - i)
+    return float(m)
+
+
+def prob_vanishing_trend(
+    n: int, w_values: Sequence[float], eps: float
+) -> Tuple[bool, List[float]]:
+    """Advisory trend: max_m q(m,0)*(m-1) non-increasing along a w sweep."""
+    worsts = []
+    for w in w_values:
+        eq = solve_equilibrium(GameParams(n, w))
+        worsts.append(
+            max(
+                eq.profile.q(QueueState(m, 0)) * (m - 1)
+                for m in range(2, n + 1)
+            )
+        )
+    ok = all(b <= a * (1.0 + 1e-9) for a, b in zip(worsts, worsts[1:]))
+    return ok, worsts
+
+
+def opt_stage_cost_loop(m: int, p: float, w: float, opt_prefix: Sequence[float]) -> float:
+    """The optimum's stage-m cost at p as one scalar loop over i (frozen).
+
+    ``optsolver.opt_stage_cost`` must equal this bit for bit.
+    """
+    row = _binom_row(m, p)
+    acc = 0.0
+    for i in range(1, m + 1):
+        if row[i] > 0.0:
+            acc += row[i] * (w * i * (i - 1) / 2.0 + i * (m - i) + opt_prefix[m - i])
+    return float((row[0] * m + acc) / one_minus_pow(p, m))

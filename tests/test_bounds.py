@@ -17,13 +17,14 @@ from bneck.bounds import (
     phi_harmonic,
     phi_sqrt,
     prob_vanishing_check,
-    prob_vanishing_trend,
     ratio_targets,
     NiceBoundFunction,
 )
 from bneck.eqsolver import solve_equilibrium
 from bneck.model import GameParams, InvalidParameterError, QueueState
 from bneck.optsolver import solve_opt
+
+from oracles import prob_vanishing_trend
 
 S = QueueState
 

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from bneck import eqsolver
 from bneck.eqsolver import (
     RootPolicy,
     _certifies_no_entry,
     eq_closed_form_2p,
-    indifference_gap,
     profile_cost_table,
     solve_equilibrium,
     solve_state,
@@ -20,12 +20,15 @@ from bneck.model import (
     GameParams,
     InvalidParameterError,
     QueueState,
+    _successor_values,
+    cost_enter,
     enumerate_states,
     total_cost_evaluate,
 )
 from bneck.bounds import entry_prob_lower
 
 import oracles
+from oracles import indifference_gap
 
 S = QueueState
 SQRT5 = math.sqrt(5.0)
@@ -50,6 +53,39 @@ class TestIndifferenceGap:
 
     def test_at_q_one(self):
         assert indifference_gap(S(2, 0), 1.0, 8.0, {S(1, 0): 0.0}) == pytest.approx(3.0)
+
+
+class TestGapProbeBitIdentity:
+    """The solver's gap probe must equal the reference indifference_gap exactly (==)."""
+
+    @staticmethod
+    def _continuation(rng, m, k):
+        # random non-negative costs at every successor (m-i, k+i-1), i = 0..m-1
+        return {
+            S(m - i, k + i - 1): float(rng.uniform(0.0, 3.0 * (m + k)))
+            for i in range(m)
+            if k + i - 1 >= 0
+        }
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(8)
+        cases = 0
+        for w in (2.5, 3.0, 100.0, 1e18):
+            for _ in range(40):
+                m = int(rng.integers(2, 61))
+                k = int(rng.integers(0, 4)) if rng.uniform() < 0.7 else 0
+                cont = self._continuation(rng, m, k)
+                rows = eqsolver._BinomRows(m, 64, eqsolver._scan_grid(1, eqsolver._SCAN_LO, 64))
+                ev = eqsolver._GapEvaluator(rows, k, w, _successor_values(cont, m, k, m - 1))
+                qs = [1.0, 1e-300, 3e-300, 1e-200, 1e-12] + rng.uniform(0.0, 1.0, 6).tolist()
+                if k >= 1:
+                    qs.append(0.0)
+                for q in qs:
+                    gap, enter = ev.probe(q)
+                    assert gap == indifference_gap(S(m, k), q, w, cont), (m, k, q, w)
+                    assert enter == cost_enter(S(m, k), q, w)
+                    cases += 1
+        assert cases >= 1500
 
 
 class TestSolveState:

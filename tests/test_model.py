@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bneck import model
 from bneck.eqsolver import profile_cost_table
 from bneck.model import (
     CostRole,
@@ -15,13 +16,12 @@ from bneck.model import (
     QueueState,
     binom_pmf,
     cost_enter,
-    cost_wait,
     enumerate_states,
-    step_cost_total,
     total_cost_evaluate,
 )
 
 import oracles
+from oracles import cost_wait, step_cost_total
 
 S = QueueState
 SQRT5 = math.sqrt(5.0)
@@ -81,6 +81,47 @@ class TestEnumerateStates:
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             enumerate_states(0)
+
+    def test_caller_mutation_does_not_leak(self):
+        first = enumerate_states(4)
+        expected = list(first)
+        first.reverse()
+        first.append(S(9, 9))
+        del first[0]
+        assert enumerate_states(4) == expected
+        assert enumerate_states(4) is not enumerate_states(4)
+
+    def test_cache_holds_one_n(self):
+        for n in range(1, 30):
+            enumerate_states(n)
+        info = model._states.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+
+
+class TestCachedArraysReadOnly:
+    """Arrays kept across calls or probes must not be writable by a caller."""
+
+    @staticmethod
+    def _assert_read_only(a):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+    def test_pmf_row_constants(self):
+        pmf = model._PmfRow(7)
+        for a in (pmf._i, pmf._rest, pmf._logc):
+            self._assert_read_only(a)
+
+    def test_logfact_table(self):
+        self._assert_read_only(model._logfact(20))
+
+
+class TestPmfRow:
+    @pytest.mark.parametrize("m", [1, 2, 7, 40, 160])
+    def test_pmf_row_matches_binom_row(self, m):
+        pmf = model._PmfRow(m)
+        for q in (1e-300, 1e-12, 0.3, 0.5, 0.9999, 0.0, 1.0, 0.7):
+            assert np.array_equal(pmf(q), model._binom_row(m, q)), q
 
 
 class TestBinomPmf:

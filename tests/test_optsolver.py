@@ -13,6 +13,7 @@ from bneck.model import (
     InvalidParameterError,
     total_cost_evaluate,
 )
+from bneck import optsolver
 from bneck.optsolver import (
     heuristic_profile_large_w,
     heuristic_profile_small_w,
@@ -42,6 +43,42 @@ class TestStageCost:
     def test_divergent(self):
         with pytest.raises(DivergentCostError):
             opt_stage_cost(2, 0.0, 8.0, [0.0, 0.0])
+
+
+class TestStageCostBitIdentity:
+    """The per-stage kernel must equal the frozen scalar loop exactly (==)."""
+
+    @staticmethod
+    def _prefix(rng, m):
+        # increasing continuation values, as solve_opt produces
+        return [0.0, 0.0] + [j * (j - 1) / 2.0 * rng.uniform(1.0, 3.0) for j in range(2, m)]
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        cases = 0
+        for w in (2.5, 3.0, 100.0, 1e18):
+            for _ in range(60):
+                m = int(rng.integers(1, 161))
+                prefix = self._prefix(rng, m)
+                kernel = optsolver._StageCost(m, optsolver._stage_increments(m, w, prefix))
+                ps = [1.0, 1e-12] + rng.uniform(0.0, 1.0, 8).tolist()
+                for p in ps:
+                    if p == 0.0:
+                        continue
+                    want = oracles.opt_stage_cost_loop(m, p, w, prefix)
+                    assert opt_stage_cost(m, p, w, prefix) == want, (m, p, w)
+                    # solve_opt reuses one kernel across all probes of a stage
+                    assert kernel(p) == want, (m, p, w)
+                    cases += 1
+        assert cases >= 2000
+
+    def test_underflowed_weight_times_infinite_increment(self):
+        # w*i(i-1)/2 overflows to inf where the pmf weight underflows to 0;
+        # the loop skips such terms instead of making 0*inf = nan
+        for p in (1e-200, 1e-12, 0.5, 1.0):
+            want = oracles.opt_stage_cost_loop(3, p, 1e308, [0.0, 0.0, 1.0])
+            assert opt_stage_cost(3, p, 1e308, [0.0, 0.0, 1.0]) == want
+        assert math.isfinite(opt_stage_cost(3, 1e-200, 1e308, [0.0, 0.0, 1.0]))
 
 
 class TestClosedForm:
