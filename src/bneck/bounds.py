@@ -444,6 +444,12 @@ class BoundsReport:
         return not self.hard_failures
 
 
+def _check_eps(eps: float) -> None:
+    """Reject an advisory slack that is not finite and > 0."""
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
+
+
 def bounds_report(
     eq: EquilibriumSolution,
     opt: OptSolution,
@@ -467,8 +473,7 @@ def bounds_report(
     n, w = params.n, params.w
     if n < 2:
         raise InvalidParameterError(f"bounds require n >= 2, got n={n}")
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
+    _check_eps(eps)
     entries: List[BoundEntry] = []
 
     def row(name, formula, bound, observed, direction, advisory, note="", passed=None):

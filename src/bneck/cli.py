@@ -13,9 +13,7 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
@@ -28,6 +26,8 @@ from .eqsolver import (
     verify_profile,
 )
 from .model import (
+    CostRole,
+    CostTable,
     DivergentCostError,
     EntryProfile,
     GameParams,
@@ -36,7 +36,7 @@ from .model import (
     QueueState,
     enumerate_states,
 )
-from .optsolver import sc_unrestricted, solve_opt
+from .optsolver import OptSolution, sc_unrestricted, solve_opt
 from .sim import simulate
 
 __all__ = [
@@ -295,16 +295,11 @@ def _bounds_document(report) -> dict:
     }
 
 
-def _solve_and_bound(n: int, w: float, policy: str, eps: float):
-    """Solve G(n; w) for the equilibrium and the optimum and check every bound."""
-    params = GameParams(n, w)
-    eq = solve_equilibrium(params, _POLICIES[policy])
-    opt = solve_opt(params)
-    return eq, opt, bounds_mod.bounds_report(eq, opt, eps)
-
-
 def cmd_bounds(args) -> int:
-    _, _, report = _solve_and_bound(args.n, args.w, args.policy, args.eps)
+    params = GameParams(args.n, args.w)
+    bounds_mod._check_eps(args.eps)
+    eq = solve_equilibrium(params, _POLICIES[args.policy])
+    report = bounds_mod.bounds_report(eq, solve_opt(params), args.eps)
     if args.format == "json":
         _write(_json_text(_bounds_document(report)), args.out)
     else:
@@ -328,19 +323,29 @@ def _parse_range(spec: str) -> List[int]:
     return list(range(a, b + 1, step))
 
 
-def _sweep_cell(cell: Tuple[int, float, str, float]) -> List[str]:
-    n, w, policy_name, eps = cell
-    eq, opt, report = _solve_and_bound(n, w, policy_name, eps)
-    sc = sc_unrestricted(n)
+def _sweep_row(big_eq: EquilibriumSolution, big_opt: OptSolution, n: int, eps: float) -> List[str]:
+    """The row of G(n; w), read off solutions of a larger G(N; w): exact by the prefix property."""
+    params = GameParams(n, big_eq.params.w)
+    states = enumerate_states(n)
+    costs = {s: big_eq.per_player[s] for s in states}
+    eq = EquilibriumSolution(
+        params=params,
+        profile=EntryProfile({s: big_eq.profile.entries[s] for s in states}),
+        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs),
+        policy=big_eq.policy,
+        diagnostics={s: big_eq.diagnostics[s] for s in states},
+    )
+    opt = OptSolution(params, big_opt.p[: n + 1], big_opt.opt[: n + 1])
+    report = bounds_mod.bounds_report(eq, opt, eps)
     return [
         str(n),
-        _num(w),
-        _POLICIES[policy_name].value,
+        _num(params.w),
+        eq.policy.value,
         _num(eq.profile.q(QueueState(n, 0))),
         _num(eq.per_player_cost),
         _num(eq.total_cost),
         _num(opt.total_cost),
-        _num(sc),
+        _num(sc_unrestricted(n)),
         _num(report.ratios["ratio_eq_sc"]),
         _num(report.ratios["ratio_eq_opt"]),
         _num(report.ratios["ratio_opt_sc"]),
@@ -348,33 +353,21 @@ def _sweep_cell(cell: Tuple[int, float, str, float]) -> List[str]:
     ]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("BNECK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidParameterError(f"BNECK_THREADS must be an integer, got {raw!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
-
-
 def cmd_sweep(args) -> int:
     ns = _parse_range(args.n_range)
     ws = [float(x) for x in args.w_list.split(",") if x]
     if min(ns) < 2:
         raise InvalidParameterError("sweep requires n >= 2")
-    cells = [(n, w, args.policy, args.eps) for n in ns for w in ws]
-    workers = _worker_count()
-    rows: List[List[str]]
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_sweep_cell, cells))
-        except OSError:
-            rows = [_sweep_cell(c) for c in cells]
-    else:
-        rows = [_sweep_cell(c) for c in cells]
+    if not ws:
+        raise InvalidParameterError(f"--w-list names no w: {args.w_list!r}")
+    bounds_mod._check_eps(args.eps)
+    # each distinct w is solved once, at the largest n; every w is checked first
+    games = [GameParams(max(ns), w) for w in dict.fromkeys(ws)]
+    columns: Dict[float, List[List[str]]] = {}
+    for params in games:
+        eq, opt = solve_equilibrium(params, _POLICIES[args.policy]), solve_opt(params)
+        columns[params.w] = [_sweep_row(eq, opt, n, args.eps) for n in ns]
+    rows = [columns[w][i] for i in range(len(ns)) for w in ws]
     _write(_csv_text(SWEEP_COLUMNS, rows), args.out)
     return EXIT_OK
 

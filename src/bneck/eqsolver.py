@@ -25,6 +25,10 @@ matrix is built once per m.  Solved costs live in a dense (n+1) x (n+1)
 array.  A scalar probe (the k = 0 endpoint search and every bisection
 step) writes its pmf row into per-m buffers (``model._PmfRow``) and
 returns the gap and the enter cost from one evaluation.
+
+Prefix property, which ``bneck sweep`` relies on and the solver must keep:
+a state with m + k <= n solves the same, bit for bit, in every G(N; w) with
+N >= n.  So no scan grid, tolerance or case test may depend on n.
 """
 
 from __future__ import annotations
@@ -99,13 +103,16 @@ class EquilibriumSolution:
     params: GameParams
     profile: EntryProfile
     per_player: CostTable
-    total_cost: float
     policy: RootPolicy
     diagnostics: Mapping[QueueState, StateDiagnostics]
 
     @property
     def per_player_cost(self) -> float:
         return self.per_player[QueueState(self.params.n, 0)]
+
+    @property
+    def total_cost(self) -> float:
+        return self.params.n * self.per_player_cost  # 0 at n = 1: c(1, 0) = 0
 
 
 class _BinomRows:
@@ -293,12 +300,10 @@ def solve_equilibrium(
         profile[state] = q
         costs[state] = c
         diags[state] = StateDiagnostics(root_count=count, residual=res)
-    total = n * costs[QueueState(n, 0)] if n >= 2 else 0.0
     return EquilibriumSolution(
         params=params,
         profile=EntryProfile(profile),
         per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs),
-        total_cost=total,
         policy=policy,
         diagnostics=diags,
     )

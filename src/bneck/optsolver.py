@@ -17,6 +17,10 @@ once; the grid scan and every golden-section probe share them.  A probe
 (``_StageCost``, also behind ``opt_stage_cost``) reads its pmf row through
 ``model._PmfRow`` and sums the terms sequentially with np.add.accumulate,
 so it is bit-identical to a scalar loop over i.
+
+Prefix property, which ``bneck sweep`` relies on and the solver must keep:
+p[:n+1] and opt[:n+1] are the same, bit for bit, in every G(N; w) with
+N >= n.  So the stage grid may depend on m, never on n.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import os
 from importlib import resources
 
 import pytest
@@ -16,8 +15,10 @@ from bneck.cli import (
     parse_profile_document,
     profile_document,
 )
-from bneck.eqsolver import solve_equilibrium
-from bneck.model import GameParams, InvalidParameterError
+from bneck.bounds import bounds_report
+from bneck.eqsolver import RootPolicy, solve_equilibrium
+from bneck.model import GameParams, InvalidParameterError, QueueState
+from bneck.optsolver import sc_unrestricted, solve_opt
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +248,12 @@ def test_bad_solver_settings_exit_bad_input(args, tmp_path):
     [["bounds", "--n", "3", "--w"], ["sweep", "--n-range", "2:3", "--w-list"]],
     ids=lambda args: args[0],
 )
-def test_bad_eps_exits_bad_input(args, w, eps, tmp_path):
+def test_bad_eps_exits_bad_input(args, w, eps, tmp_path, monkeypatch):
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("solved before checking --eps")
+
+    # the check comes before any solve: a large sweep would otherwise solve first
+    monkeypatch.setattr("bneck.cli.solve_equilibrium", no_solve)
     out = tmp_path / "out"
     assert main(args + [w, "--eps", eps, "--out", str(out)]) == EXIT_BAD_INPUT
     assert not out.exists()
@@ -301,16 +307,54 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [r["n"] for r in rows] == ["2", "4", "6"]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        args = ["sweep", "--n-range", "2:3", "--w-list", "5,9"]
-        monkeypatch.setenv("BNECK_THREADS", "1")
-        _, serial = run(args, tmp_path, "serial.csv")
-        monkeypatch.setenv("BNECK_THREADS", "2")
-        _, parallel = run(args, tmp_path, "parallel.csv")
-        assert serial == parallel
+    @pytest.mark.parametrize(
+        "policy, root_policy",
+        [("smallest", RootPolicy.SMALLEST_Q), ("largest", RootPolicy.LARGEST_Q)],
+        ids=["smallest", "largest"],
+    )
+    def test_rows_match_per_cell_solves(self, policy, root_policy, tmp_path):
+        # the sweep solves each w once at the largest n; every row must equal
+        # the one a separate solve of its own G(n; w) gives
+        code, text = run(
+            ["sweep", "--n-range", "2:9:3", "--w-list", "1.5,3,1e18,3", "--policy", policy],
+            tmp_path,
+        )
+        assert code == EXIT_OK
+        expected = []
+        for n in (2, 5, 8):
+            for w in (1.5, 3.0, 1e18, 3.0):
+                params = GameParams(n, w)
+                eq = solve_equilibrium(params, root_policy)
+                opt = solve_opt(params)
+                report = bounds_report(eq, opt)
+                values = [
+                    eq.profile.q(QueueState(n, 0)),
+                    eq.per_player_cost,
+                    eq.total_cost,
+                    opt.total_cost,
+                    sc_unrestricted(n),
+                    report.ratios["ratio_eq_sc"],
+                    report.ratios["ratio_eq_opt"],
+                    report.ratios["ratio_opt_sc"],
+                ]
+                expected.append(
+                    [str(n), f"{w:.12g}", eq.policy.value]
+                    + [f"{v:.12g}" for v in values]
+                    + [str(len(report.hard_failures))]
+                )
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows[0] == SWEEP_COLUMNS
+        assert rows[1:] == expected
 
     def test_bad_range(self, tmp_path):
         assert main(["sweep", "--n-range", "5:2", "--w-list", "3"]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("w_list", [",", ""])
+    def test_empty_w_list(self, w_list, tmp_path):
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--n-range", "2:4", "--w-list", w_list, "--out", str(out)]
+        assert main(args) == EXIT_BAD_INPUT
+        assert not out.exists()
 
 
 class TestVerify:

@@ -26,6 +26,7 @@ from bneck.model import (
     total_cost_evaluate,
 )
 from bneck.bounds import entry_prob_lower
+from bneck.optsolver import solve_opt
 
 import oracles
 from oracles import indifference_gap
@@ -154,6 +155,26 @@ class TestSolveEquilibrium:
         b = solve_equilibrium(GameParams(5, 9.0))
         assert a.profile.entries == b.profile.entries
         assert a.total_cost == b.total_cost
+
+
+class TestPrefixProperty:
+    """G(n; w) is a prefix of G(N; w): ``bneck sweep`` solves each w once, at the largest n."""
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    @pytest.mark.parametrize("w", [1.5, 3.0, 100.0, 1e18])
+    def test_small_game_equals_prefix_of_large(self, w, policy):
+        big_eq = solve_equilibrium(GameParams(19, w), policy)
+        big_opt = solve_opt(GameParams(19, w))
+        for n in (2, 7, 12):
+            eq = solve_equilibrium(GameParams(n, w), policy)
+            for s in enumerate_states(n):
+                assert eq.profile.q(s) == big_eq.profile.q(s)
+                assert eq.per_player[s] == big_eq.per_player[s]
+                assert eq.diagnostics[s] == big_eq.diagnostics[s]
+            assert eq.total_cost == n * big_eq.per_player[S(n, 0)]
+            opt = solve_opt(GameParams(n, w))
+            assert opt.p[1 : n + 1] == big_opt.p[1 : n + 1]  # p[0] is an unused nan
+            assert opt.opt[: n + 1] == big_opt.opt[: n + 1]
 
 
 class TestClosedForm2p:
