@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .eqsolver import EquilibriumSolution
 from .model import (
+    CostTable,
     EntryProfile,
     GameParams,
     InvalidParameterError,
@@ -450,6 +451,25 @@ def _check_eps(eps: float) -> None:
         raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
 
 
+def _heuristic_totals(n: int, w: float) -> Dict[str, CostTable]:
+    """Total-cost tables of both heuristic profiles of G(n; w); none at w <= 2.
+
+    p_m depends on m and w only, so the (n', 0) entry is T(n', 0) of
+    G(n'; w) for every n' <= n, bit for bit (the prefix property of the
+    solvers holds for ``total_cost_evaluate`` too).
+    """
+    if not w > 2.0:
+        return {}  # the report prices no heuristic at w <= 2
+    tables = {}
+    for tag, prof_fn in (
+        ("small_w", heuristic_profile_small_w),
+        ("large_w", heuristic_profile_large_w),
+    ):
+        profile = EntryProfile.from_empty_queue_probs(prof_fn(n, w), n)
+        tables[tag], _ = total_cost_evaluate(profile, GameParams(n, w))
+    return tables
+
+
 def bounds_report(
     eq: EquilibriumSolution,
     opt: OptSolution,
@@ -464,6 +484,21 @@ def bounds_report(
     the expected-wait chain inequality, the OPT sandwich between n(n-1)/2 and
     both heuristic-profile costs, and the stage-increment ceiling.
     Everything threshold-dependent is advisory.
+    """
+    return _bounds_report(eq, opt, eps, rel_tol, None)
+
+
+def _bounds_report(
+    eq: EquilibriumSolution,
+    opt: OptSolution,
+    eps: float,
+    rel_tol: float,
+    heuristics: Optional[Dict[str, CostTable]],
+) -> BoundsReport:
+    """``bounds_report``, pricing the heuristic profiles off ``heuristics``.
+
+    ``heuristics`` is ``_heuristic_totals(N, w)`` for some N >= n, or None
+    to price them at G(n; w) here; ``bneck sweep`` prices them once per w.
     """
     if eq.params != opt.params:
         raise InvalidParameterError(
@@ -602,16 +637,13 @@ def bounds_report(
 
     row("opt_lower_sc", "OPT >= n(n-1)/2", sc, opt_total, "lower", advisory=False)
     if w > 2.0:
-        for tag, prof_fn in (
-            ("small_w", heuristic_profile_small_w),
-            ("large_w", heuristic_profile_large_w),
-        ):
-            profile = EntryProfile.from_empty_queue_probs(prof_fn(n, w), n)
-            _, cost = total_cost_evaluate(profile, params)
+        if heuristics is None:
+            heuristics = _heuristic_totals(n, w)
+        for tag, table in heuristics.items():
             row(
                 f"opt_upper_heuristic_{tag}",
                 f"OPT <= cost of {tag} heuristic profile",
-                cost,
+                table[QueueState(n, 0)],
                 opt_total,
                 "upper",
                 advisory=False,

@@ -323,8 +323,17 @@ def _parse_range(spec: str) -> List[int]:
     return list(range(a, b + 1, step))
 
 
-def _sweep_row(big_eq: EquilibriumSolution, big_opt: OptSolution, n: int, eps: float) -> List[str]:
-    """The row of G(n; w), read off solutions of a larger G(N; w): exact by the prefix property."""
+def _sweep_row(
+    big_eq: EquilibriumSolution,
+    big_opt: OptSolution,
+    heuristics: Dict[str, CostTable],
+    n: int,
+    eps: float,
+) -> List[str]:
+    """The row of G(n; w), read off solutions of a larger G(N; w): exact by the prefix property.
+
+    ``heuristics`` is ``bounds._heuristic_totals(N, w)``.
+    """
     params = GameParams(n, big_eq.params.w)
     states = enumerate_states(n)
     costs = {s: big_eq.per_player[s] for s in states}
@@ -336,7 +345,7 @@ def _sweep_row(big_eq: EquilibriumSolution, big_opt: OptSolution, n: int, eps: f
         diagnostics={s: big_eq.diagnostics[s] for s in states},
     )
     opt = OptSolution(params, big_opt.p[: n + 1], big_opt.opt[: n + 1])
-    report = bounds_mod.bounds_report(eq, opt, eps)
+    report = bounds_mod._bounds_report(eq, opt, eps, bounds_mod.DEFAULT_REL_TOL, heuristics)
     return [
         str(n),
         _num(params.w),
@@ -366,7 +375,8 @@ def cmd_sweep(args) -> int:
     columns: Dict[float, List[List[str]]] = {}
     for params in games:
         eq, opt = solve_equilibrium(params, _POLICIES[args.policy]), solve_opt(params)
-        columns[params.w] = [_sweep_row(eq, opt, n, args.eps) for n in ns]
+        heuristics = bounds_mod._heuristic_totals(params.n, params.w)
+        columns[params.w] = [_sweep_row(eq, opt, heuristics, n, args.eps) for n in ns]
     rows = [columns[w][i] for i in range(len(ns)) for w in ws]
     _write(_csv_text(SWEEP_COLUMNS, rows), args.out)
     return EXIT_OK

@@ -19,12 +19,17 @@ For k = 0 the waiting cost diverges as q -> 0+, so a negative-gap lower
 scan endpoint always exists and is found by halving from 1/(m-1).
 
 Backward induction visits states m-major (m ascending, then k ascending):
-(m, k) needs only (m, k-1) and states with fewer agents outside.  All
-k >= 1 states share one scan grid, built once per solve, and its binomial
-matrix is built once per m.  Solved costs live in a dense (n+1) x (n+1)
-array.  A scalar probe (the k = 0 endpoint search and every bisection
-step) writes its pmf row into per-m buffers (``model._PmfRow``) and
-returns the gap and the enter cost from one evaluation.
+(m, k) needs only (m, k-1) and states with fewer agents outside.  So each
+m-row gathers the successors (m-i, k-1+i), i >= 1, of all its states at
+once, with their row maxima, and a scalar loop over k carries cost(m, k-1).
+It settles a certified state with the per-state test, max(cont) being
+max(cost(m, k-1), row maximum), and only a state that fails it gets a
+continuation vector and a scan.  All k >= 1 states share one scan grid,
+built once per solve, and its binomial matrix is built once per m.  Solved
+costs live in a dense (n+1) x (n+1) array.  A scalar probe (the k = 0
+endpoint search and every bisection step) writes its pmf row into per-m
+buffers (``model._PmfRow``) and computes the wait and enter costs inline,
+returning the gap and the enter cost from one evaluation.
 
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 a state with m + k <= n solves the same, bit for bit, in every G(N; w) with
@@ -49,6 +54,7 @@ from .model import (
     InvalidParameterError,
     QueueState,
     _binom_matrix,
+    _binom_row,
     _check_solver_settings,
     _PmfRow,
     _profile_costs,
@@ -137,22 +143,44 @@ class _GapEvaluator:
 
     def __init__(self, rows: _BinomRows, k: int, w: float, cont: np.ndarray):
         # cont[i] = continuation cost at (m-i, k+i-1); cont[0] unused for k=0
-        self.rows = rows
         self.m, self.k, self.w = rows.m, k, w
         self.cont = cont
+        self._half = (rows.m - 1) / 2.0
+        self._kw = k * w
+        self._tail = cont[1:]
+        pmf = rows.row
+        self._i, self._rest, self._logc = pmf._i, pmf._rest, pmf._logc
+        self._row, self._tmp = pmf._row, pmf._tmp
 
     def enter(self, qs: np.ndarray) -> np.ndarray:
-        return (self.m - 1) / 2.0 * qs * self.w + self.k * self.w
+        return self._half * qs * self.w + self._kw
 
     def gap(self, qs: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Gap at every q of ``qs``, given B = _binom_matrix(m-1, qs)."""
         return self.enter(qs) - _wait_cost(self.m, self.k, qs, B, self.cont)
 
     def probe(self, q: float) -> Tuple[float, float]:
-        """(gap, enter cost) at one q, from one pmf row."""
-        enter = self.enter(q)
-        wait = _wait_cost(self.m, self.k, q, self.rows.row(q), self.cont)
-        return float(enter - wait), enter
+        """(gap, enter cost) at one q, from one pmf row.
+
+        ``enter``, ``_PmfRow.__call__``, ``_wait_cost`` and ``one_minus_pow``
+        written out for a scalar q: the same operations in the same order,
+        so bit-identical to them.  The row goes into the ``_PmfRow``'s buffers.
+        """
+        enter = self._half * q * self.w + self._kw
+        if 0.0 < q < 1.0:
+            row, tmp = self._row, self._tmp
+            np.multiply(self._i, math.log(q), row)
+            np.add(self._logc, row, row)
+            np.multiply(self._rest, math.log1p(-q), tmp)
+            np.add(row, tmp, row)
+            np.exp(row, row)
+        else:
+            row = _binom_row(self.m - 1, q)
+        if self.k >= 1:
+            return float(enter - (1.0 + row.dot(self.cont))), enter
+        stay = 1.0 + row[1:].dot(self._tail)
+        leave = 1.0 if q >= 1.0 else -math.expm1((self.m - 1) * math.log1p(-q))
+        return float(enter - stay / leave), enter
 
 
 def _certifies_no_entry(k: int, w: float, cont: np.ndarray) -> bool:
@@ -190,7 +218,7 @@ def _scan_grid(k: int, lo: float, points: int) -> np.ndarray:
     return grid
 
 
-def _solve_state_arrays(
+def _scan_state(
     rows: _BinomRows,
     k: int,
     w: float,
@@ -198,9 +226,11 @@ def _solve_state_arrays(
     policy: RootPolicy,
     tol: float,
 ) -> Tuple[float, float, int, float]:
+    """(q, cost, root count, residual) of a state the certificate leaves open.
+
+    Cases (a) to (c) of the module docstring, by scan and bisection.
+    """
     m = rows.m
-    if _certifies_no_entry(k, w, cont):
-        return 0.0, 1.0 + float(cont[0]), 0, 0.0
     ev = _GapEvaluator(rows, k, w, cont)
     if k == 0:
         # push the lower endpoint down until waiting dominates entering
@@ -258,8 +288,10 @@ def solve_state(
         raise InvalidParameterError(f"solve_state needs m >= 2, got {state}")
     _check_solver_settings(grid_points, tol)
     cont = _successor_values(continuation, m, k, m - 1)
+    if _certifies_no_entry(k, w, cont):
+        return 0.0, 1.0 + float(cont[0]), 0
     rows = _BinomRows(m, grid_points, _scan_grid(1, _SCAN_LO, grid_points))
-    q, c, count, _ = _solve_state_arrays(rows, k, w, cont, policy, tol)
+    q, c, count, _ = _scan_state(rows, k, w, cont, policy, tol)
     return q, c, count
 
 
@@ -285,13 +317,28 @@ def solve_equilibrium(
     solved: List[List[Tuple[float, float, int, float]]] = [[] for _ in range(n + 1)]
     solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
     upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
+    cert = 1.0 + _CERT_MARGIN
     for m in range(2, n + 1):
         rows = _BinomRows(m, grid_points, upper_grid)
-        for k in range(n - m + 1):
-            cont = _successor_values(cost, m, k, m - 1)
-            result = _solve_state_arrays(rows, k, w, cont, policy, tol)
-            cost[m, k] = result[1]
+        ks, i = np.arange(n - m + 1), np.arange(1, m)
+        # conts[k] is the continuation of (m, k), gathered for the whole row
+        # at once: slots i >= 1 hold (m-i, k-1+i), in rows already solved;
+        # slot 0 holds (m, k-1) and is filled just before (m, k) is scanned
+        conts = np.empty((len(ks), m))
+        conts[:, 1:] = cost[m - i, ks[:, None] - 1 + i]
+        tail_max = conts[:, 1:].max(axis=1).tolist()
+        prev = 0.0  # cost(m, k-1); slot 0 is the divided-out self-loop at k = 0
+        for k in ks.tolist():
+            # _certifies_no_entry with cont.max() = max(prev, tail_max[k])
+            if k >= 1 and k * w > (1.0 + max(prev, tail_max[k])) * cert:
+                result = (0.0, 1.0 + prev, 0, 0.0)
+            else:
+                cont = conts[k]
+                cont[0] = prev
+                result = _scan_state(rows, k, w, cont, policy, tol)
+            prev = result[1]
             solved[m].append(result)
+        cost[m, : len(ks)] = [r[1] for r in solved[m]]
     profile: Dict[QueueState, float] = {}
     costs: Dict[QueueState, float] = {}
     diags: Dict[QueueState, StateDiagnostics] = {}

@@ -266,7 +266,10 @@ class _PmfRow:
 
     Interior rows take the same operations in the same order as
     ``_binom_row``, so they are bit-identical to it.  Each call overwrites
-    the row the previous call returned.
+    the row the previous call returned.  ``_i``, ``_rest`` and ``_logc``
+    are the read-only q-free constants of ``_binom_consts``, as floats, and
+    ``_row`` and ``_tmp`` the buffers: the equilibrium's gap probe and the
+    optimum's stage grid read them directly.
     """
 
     def __init__(self, m: int):
@@ -282,11 +285,32 @@ class _PmfRow:
         if q <= 0.0 or q >= 1.0:
             return _binom_row(self.m, q)
         row, tmp = self._row, self._tmp
-        np.multiply(self._i, math.log(q), out=row)
-        np.add(self._logc, row, out=row)
-        np.multiply(self._rest, math.log1p(-q), out=tmp)
-        np.add(row, tmp, out=row)
-        return np.exp(row, out=row)
+        # outputs passed positionally: out= keyword parsing costs more than the
+        # arithmetic on a short row
+        np.multiply(self._i, math.log(q), row)
+        np.add(self._logc, row, row)
+        np.multiply(self._rest, math.log1p(-q), tmp)
+        np.add(row, tmp, row)
+        return np.exp(row, row)
+
+
+# np.exp(x) is 0 below about -745.13 (e^x < 2^-1075 rounds to 0), and numpy
+# takes a slow path for such x; far tails of pmf rows hold many of them
+_EXP_FLOOR = -746.0
+
+
+def _exp_into(logv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = np.exp(logv), writing the 0s below _EXP_FLOOR without np.exp once they are many.
+
+    Measured on AVX-512 numpy 2.4: np.exp takes about 15 ns on an entry
+    that underflows and 1 ns on others, and a masked np.exp about 2 ns per
+    entry, so the mask pays once about an eighth of the entries underflow.
+    """
+    keep = logv > _EXP_FLOOR
+    if 8 * np.count_nonzero(keep) > 7 * keep.size:
+        return np.exp(logv, out)
+    out.fill(0.0)
+    return np.exp(logv, out, where=keep)
 
 
 def _binom_matrix(m: int, qs: np.ndarray) -> np.ndarray:
@@ -301,7 +325,7 @@ def _binom_matrix(m: int, qs: np.ndarray) -> np.ndarray:
             + i[None, :] * np.log(safe)[:, None]
             + rest[None, :] * np.log1p(-safe)[:, None]
         )
-    out = np.exp(logv)
+    out = _exp_into(logv, np.empty_like(logv))
     if not interior.all():
         out[qs <= 0.0] = np.eye(m + 1)[0]
         out[qs >= 1.0] = np.eye(m + 1)[m]

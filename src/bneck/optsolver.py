@@ -16,7 +16,12 @@ Each stage builds its p-free increments w*i(i-1)/2 + i(m-i) + OPT(m-i)
 once; the grid scan and every golden-section probe share them.  A probe
 (``_StageCost``, also behind ``opt_stage_cost``) reads its pmf row through
 ``model._PmfRow`` and sums the terms sequentially with np.add.accumulate,
-so it is bit-identical to a scalar loop over i.
+so it is bit-identical to a scalar loop over i.  The grid scan evaluates
+its grid_points x (m+1) pmf matrix in row blocks of about 2^15 doubles,
+which stay in L2 cache, in one pair of buffers per solve and from the
+stage probe's binomial constants; a grid that fits in one block is one
+block.  Block heights are multiples of 8 rows, at which the blocked gemv
+gave every grid value bit-identical to the full matrix's.
 
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 p[:n+1] and opt[:n+1] are the same, bit for bit, in every G(N; w) with
@@ -35,8 +40,8 @@ from .model import (
     DivergentCostError,
     GameParams,
     InvalidParameterError,
-    _binom_matrix,
     _check_solver_settings,
+    _exp_into,
     _PmfRow,
     one_minus_pow,
 )
@@ -53,6 +58,12 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 2048
 DEFAULT_TOL = 1e-10
+# the stage grid's pmf matrix is evaluated in row blocks of about _BLOCK
+# doubles (256 KB, an L2 cache), whose heights are multiples of _BLOCK_ROWS:
+# with OpenBLAS, heights that are multiples of 4 kept every row of the gemv
+# bit-identical to the unblocked product, and most other heights did not
+_BLOCK = 1 << 15
+_BLOCK_ROWS = 8
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -121,10 +132,37 @@ class _StageCost:
         return float((row[0] * self.m + acc) / one_minus_pow(p, self.m))
 
 
-def _stage_cost_grid(m: int, ps: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    B = _binom_matrix(m, ps)
-    num = B[:, 0] * m + B[:, 1:] @ inc
-    return num / one_minus_pow(ps, m)
+def _stage_cost_grid(stage: _StageCost, ps: np.ndarray, bufs: np.ndarray) -> np.ndarray:
+    """Stage cost at every p of ``ps`` (all in (0, 1]), one row block at a time.
+
+    A block's pmf rows take the operations of ``_binom_matrix`` in the same
+    order, from the q-free constants of the stage's ``_PmfRow``, and are
+    written into ``bufs``, a (2, size) buffer shared by all stages of a
+    solve.  A block holds a multiple of ``_BLOCK_ROWS`` rows and about
+    ``_BLOCK`` doubles, so it stays in L2 cache; a grid that fits in one
+    block is one block.
+    """
+    m, inc, pmf = stage.m, stage.inc, stage._pmf
+    interior = ps < 1.0
+    safe = np.where(interior, ps, 0.5)
+    lq, l1q = np.log(safe)[:, None], np.log1p(-safe)[:, None]
+    vals = np.empty(len(ps))
+    height = max(_BLOCK // (m + 1) // _BLOCK_ROWS, 1) * _BLOCK_ROWS
+    if len(ps) * (m + 1) <= _BLOCK:
+        height = len(ps)
+    for r0 in range(0, len(ps), height):
+        r1 = min(r0 + height, len(ps))
+        logv, B = (b[: (r1 - r0) * (m + 1)].reshape(r1 - r0, m + 1) for b in bufs)
+        np.multiply(pmf._i, lq[r0:r1], logv)
+        np.add(pmf._logc, logv, logv)
+        np.multiply(pmf._rest, l1q[r0:r1], B)
+        np.add(logv, B, logv)
+        _exp_into(logv, B)
+        full = ~interior[r0:r1]  # p = 1: all m enter
+        B[full] = 0.0
+        B[full, m] = 1.0
+        vals[r0:r1] = B[:, 0] * m + B[:, 1:] @ inc
+    return vals / one_minus_pow(ps, m)
 
 
 def _golden_min(f, a: float, b: float, tol: float) -> Tuple[float, float]:
@@ -175,11 +213,11 @@ def solve_opt(
     n, w = params.n, params.w
     opt: List[float] = [0.0, 0.0]
     p: List[float] = [math.nan, 1.0]
+    bufs = np.empty((2, max(_BLOCK, _BLOCK_ROWS * (n + 1))))
     for m in range(2, n + 1):
         grid = _stage_grid(m, grid_points)
-        inc = _stage_increments(m, w, opt)
-        vals = _stage_cost_grid(m, grid, inc)
-        f = _StageCost(m, inc)
+        f = _StageCost(m, _stage_increments(m, w, opt))
+        vals = _stage_cost_grid(f, grid, bufs)
         best_x, best_f = 1.0, float(vals[-1])
         padded = np.concatenate(([math.inf], vals, [math.inf]))
         for j in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):

@@ -14,18 +14,25 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from bneck.eqsolver import solve_equilibrium
+from bneck import eqsolver, optsolver
+from bneck.eqsolver import EquilibriumSolution, RootPolicy, StateDiagnostics, solve_equilibrium
 from bneck.model import (
+    CostRole,
+    CostTable,
     DivergentCostError,
+    EntryProfile,
     GameParams,
     InvalidParameterError,
     QueueState,
+    _binom_consts,
     _binom_row,
     _successor_values,
     _wait_cost,
     cost_enter,
+    enumerate_states,
     one_minus_pow,
 )
+from bneck.optsolver import OptSolution
 
 
 def binom_coeffs(m: int) -> np.ndarray:
@@ -178,10 +185,11 @@ def fifo_replay(entry_steps: Sequence[int], n: int, w: float, end: int) -> List[
 # Reference implementations on the package's own arithmetic
 #
 # Unlike the oracles above, these call the package's log-space pmf row
-# (``_binom_row``) on purpose: they are the scalar paths the solvers'
-# probe kernels replaced, kept so tests can demand bit-identity (==) with
-# them.  cost_wait, indifference_gap, step_cost_total and
-# prob_vanishing_trend were public package functions that only tests used.
+# (``_binom_row``) and solver internals on purpose: they are the scalar,
+# per-state and unblocked paths the solvers' kernels replaced, kept so tests
+# can demand bit-identity (==) with them.  cost_wait, indifference_gap,
+# step_cost_total and prob_vanishing_trend were public package functions
+# that only tests used.
 
 
 def cost_wait(
@@ -263,3 +271,106 @@ def opt_stage_cost_loop(m: int, p: float, w: float, opt_prefix: Sequence[float])
         if row[i] > 0.0:
             acc += row[i] * (w * i * (i - 1) / 2.0 + i * (m - i) + opt_prefix[m - i])
     return float((row[0] * m + acc) / one_minus_pow(p, m))
+
+
+def solve_equilibrium_per_state(
+    params: GameParams,
+    policy: RootPolicy = RootPolicy.SMALLEST_Q,
+    grid_points: int = eqsolver.DEFAULT_GRID_POINTS,
+    tol: float = eqsolver.DEFAULT_TOL,
+) -> EquilibriumSolution:
+    """``solve_equilibrium`` as one gather and one certificate test per state (frozen).
+
+    The m-major loop that the per-row gather and certificate replaced;
+    ``solve_equilibrium`` must equal it bit for bit.
+    """
+    n, w = params.n, params.w
+    cost = np.zeros((n + 1, n + 1))
+    cost[1] = np.arange(n + 1)
+    solved: List[List[Tuple[float, float, int, float]]] = [[] for _ in range(n + 1)]
+    solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
+    upper_grid = eqsolver._scan_grid(1, eqsolver._SCAN_LO, grid_points)
+    for m in range(2, n + 1):
+        rows = eqsolver._BinomRows(m, grid_points, upper_grid)
+        for k in range(n - m + 1):
+            cont = _successor_values(cost, m, k, m - 1)
+            if eqsolver._certifies_no_entry(k, w, cont):
+                result = (0.0, 1.0 + float(cont[0]), 0, 0.0)
+            else:
+                result = eqsolver._scan_state(rows, k, w, cont, policy, tol)
+            cost[m, k] = result[1]
+            solved[m].append(result)
+    profile: Dict[QueueState, float] = {}
+    costs: Dict[QueueState, float] = {}
+    diags: Dict[QueueState, StateDiagnostics] = {}
+    for state in enumerate_states(n):
+        q, c, count, res = solved[state.m][state.k]
+        profile[state] = q
+        costs[state] = c
+        diags[state] = StateDiagnostics(root_count=count, residual=res)
+    return EquilibriumSolution(
+        params=params,
+        profile=EntryProfile(profile),
+        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs),
+        policy=policy,
+        diagnostics=diags,
+    )
+
+
+def binom_matrix_plain(m: int, qs: np.ndarray) -> np.ndarray:
+    """``model._binom_matrix`` with one np.exp over the whole matrix (frozen)."""
+    qs = np.asarray(qs, dtype=float)
+    i, rest, logc = _binom_consts(m)
+    interior = (qs > 0.0) & (qs < 1.0)
+    safe = np.where(interior, qs, 0.5)
+    with np.errstate(divide="ignore"):
+        logv = (
+            logc[None, :]
+            + i[None, :] * np.log(safe)[:, None]
+            + rest[None, :] * np.log1p(-safe)[:, None]
+        )
+    out = np.exp(logv)
+    if not interior.all():
+        out[qs <= 0.0] = np.eye(m + 1)[0]
+        out[qs >= 1.0] = np.eye(m + 1)[m]
+    return out
+
+
+def stage_cost_grid_unblocked(m: int, ps: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """The optimum's stage cost on a p grid from one full pmf matrix (frozen)."""
+    B = binom_matrix_plain(m, ps)
+    num = B[:, 0] * m + B[:, 1:] @ inc
+    return num / one_minus_pow(ps, m)
+
+
+def solve_opt_unblocked(
+    params: GameParams,
+    grid_points: int = optsolver.DEFAULT_GRID_POINTS,
+    tol: float = optsolver.DEFAULT_TOL,
+) -> OptSolution:
+    """``solve_opt`` with the stage grid as one full matrix per stage (frozen).
+
+    ``solve_opt`` must equal it bit for bit on p and opt.
+    """
+    n, w = params.n, params.w
+    opt: List[float] = [0.0, 0.0]
+    p: List[float] = [math.nan, 1.0]
+    for m in range(2, n + 1):
+        grid = optsolver._stage_grid(m, grid_points)
+        inc = optsolver._stage_increments(m, w, opt)
+        vals = stage_cost_grid_unblocked(m, grid, inc)
+        f = optsolver._StageCost(m, inc)
+        best_x, best_f = 1.0, float(vals[-1])
+        padded = np.concatenate(([math.inf], vals, [math.inf]))
+        for j in np.flatnonzero((vals <= padded[:-2]) & (vals <= padded[2:])):
+            a = float(grid[max(j - 1, 0)])
+            b = float(grid[min(j + 1, len(grid) - 1)])
+            if a == b:
+                x, fx = float(grid[j]), float(vals[j])
+            else:
+                x, fx = optsolver._golden_min(f, a, b, tol)
+            if fx < best_f:
+                best_x, best_f = x, fx
+        p.append(best_x)
+        opt.append(best_f)
+    return OptSolution(params=params, p=tuple(p[: n + 1]), opt=tuple(opt[: n + 1]))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from bneck import bounds as bounds_mod
 from bneck.bounds import (
     BoundsReport,
     aux_lemma_validators,
@@ -185,6 +186,17 @@ class TestBoundsReport:
         assert report.ratios["ratio_eq_sc"] == pytest.approx(4.0, rel=1e-9)
         assert report.ratios["target_large_w_eq_sc"] == pytest.approx(4.0)
         assert report.ratios["ratio_opt_sc"] == pytest.approx(math.sqrt(15.0), rel=1e-6)
+
+    @pytest.mark.parametrize("w", [1.5, 2.5, 3.0, 1e18])
+    def test_heuristics_priced_at_a_larger_n(self, w):
+        # bneck sweep prices the heuristic profiles once, at the largest n;
+        # every cell's report must equal the one priced at its own n
+        big = bounds_mod._heuristic_totals(19, w)
+        for n in (2, 7, 12, 19):
+            params = GameParams(n, w)
+            eq, opt = solve_equilibrium(params), solve_opt(params)
+            got = bounds_mod._bounds_report(eq, opt, 0.5, bounds_mod.DEFAULT_REL_TOL, big)
+            assert repr(got) == repr(bounds_report(eq, opt))
 
     def test_parameter_mismatch(self):
         eq = solve_equilibrium(GameParams(3, 10.0))

@@ -15,9 +15,10 @@ from bneck.cli import (
     parse_profile_document,
     profile_document,
 )
+from bneck import bounds as bounds_mod
 from bneck.bounds import bounds_report
 from bneck.eqsolver import RootPolicy, solve_equilibrium
-from bneck.model import GameParams, InvalidParameterError, QueueState
+from bneck.model import GameParams, InvalidParameterError, QueueState, total_cost_evaluate
 from bneck.optsolver import sc_unrestricted, solve_opt
 
 
@@ -345,6 +346,25 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == SWEEP_COLUMNS
         assert rows[1:] == expected
+
+    def test_prices_heuristics_once_per_w(self, tmp_path, monkeypatch):
+        # two heuristic profiles per distinct w > 2, priced at the largest n,
+        # not two per cell; test_rows_match_per_cell_solves pins the values
+        calls = []
+
+        def counting(profile, params):
+            calls.append(params)
+            return total_cost_evaluate(profile, params)
+
+        monkeypatch.setattr(bounds_mod, "total_cost_evaluate", counting)
+        code, text = run(
+            ["sweep", "--n-range", "2:9", "--w-list", "2.5,3,1.5,10,3"], tmp_path
+        )
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == 1 + 8 * 5
+        assert sorted(calls, key=lambda p: p.w) == [
+            GameParams(9, w) for w in (2.5, 2.5, 3.0, 3.0, 10.0, 10.0)
+        ]
 
     def test_bad_range(self, tmp_path):
         assert main(["sweep", "--n-range", "5:2", "--w-list", "3"]) == EXIT_BAD_INPUT

@@ -177,6 +177,29 @@ class TestPrefixProperty:
             assert opt.opt[: n + 1] == big_opt.opt[: n + 1]
 
 
+class TestRowCertificate:
+    """Per-row gather and certificate: equal (==) to one gather and test per state."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        assert repr(got.profile) == repr(want.profile)
+        assert repr(got.per_player) == repr(want.per_player)
+        assert repr(got.diagnostics) == repr(want.diagnostics)
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    @pytest.mark.parametrize("w", [1.5, 2.5, 3.0, 10.0, 100.0, 1e18])
+    @pytest.mark.parametrize("n", [2, 3, 17, 40])
+    def test_equals_per_state_loop(self, n, w, policy):
+        params = GameParams(n, w)
+        self._assert_same(
+            solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
+        )
+
+    def test_equals_per_state_loop_n150(self):
+        params = GameParams(150, 3.0)
+        self._assert_same(solve_equilibrium(params), oracles.solve_equilibrium_per_state(params))
+
+
 class TestClosedForm2p:
     def test_examples(self):
         assert eq_closed_form_2p(8.0) == pytest.approx((0.5, 4.0))

@@ -124,6 +124,14 @@ class TestPmfRow:
             assert np.array_equal(pmf(q), model._binom_row(m, q)), q
 
 
+class TestBinomMatrix:
+    @pytest.mark.parametrize("m", [1, 2, 40, 150, 600])
+    def test_equals_one_exp_over_the_matrix(self, m):
+        # the entries below the exp floor are 0 either way; all others are np.exp's own
+        qs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 1.0, 300), [0.5, 1.0]])
+        assert np.array_equal(model._binom_matrix(m, qs), oracles.binom_matrix_plain(m, qs))
+
+
 class TestBinomPmf:
     def test_examples(self):
         assert binom_pmf(3, 0, 0.5) == pytest.approx(0.125, abs=0)
