@@ -12,23 +12,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .eqsolver import EquilibriumSolution
 from .model import (
-    CostTable,
-    EntryProfile,
     GameParams,
     InvalidParameterError,
     QueueState,
-    enumerate_states,
+    _decision_states,
+    _dense_q,
+    _dense_values,
     one_minus_pow,
-    total_cost_evaluate,
 )
 from .optsolver import (
     OptSolution,
+    _stage_increments,
+    _StageCost,
     heuristic_profile_large_w,
     heuristic_profile_small_w,
     sc_unrestricted,
@@ -389,8 +390,11 @@ class VanishingEntry:
     satisfied: bool
 
 
+_VANISH_TOL = 1e-9  # q(m, k >= 1) <= this counts as 0
+
+
 def prob_vanishing_check(
-    eq: EquilibriumSolution, eps: float, tol: float = 1e-9
+    eq: EquilibriumSolution, eps: float, tol: float = _VANISH_TOL
 ) -> List[VanishingEntry]:
     """Advisory check that entry probabilities have entered the vanishing regime.
 
@@ -400,17 +404,21 @@ def prob_vanishing_check(
     """
     if not eq.params.w > 2.0:
         raise InvalidParameterError("vanishing checks are meaningful only for w > 2")
-    out: List[VanishingEntry] = []
-    for state in enumerate_states(eq.params.n):
-        if state.m < 2:
-            continue
-        q = eq.profile.q(state)
-        if state.k == 0:
-            val = q * (state.m - 1)
-            out.append(VanishingEntry(state, val, val <= eps))
-        else:
-            out.append(VanishingEntry(state, q, q <= tol))
-    return out
+    n = eq.params.n
+    states, ms, ks = _decision_states(n)
+    values, satisfied = _vanishing(_dense_q(eq.profile, n), ms, ks, eps, tol)
+    return list(map(VanishingEntry, states, values.tolist(), satisfied.tolist()))
+
+
+def _vanishing(
+    q: np.ndarray, ms: np.ndarray, ks: np.ndarray, eps: float, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``prob_vanishing_check``'s values and verdicts at the states (ms, ks) of
+    the dense entry probabilities q."""
+    q = q[ms, ks]
+    empty = ks == 0
+    values = np.where(empty, q * (ms - 1), q)
+    return values, values <= np.where(empty, eps, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +453,47 @@ class BoundsReport:
         return not self.hard_failures
 
 
+def _argmin_state(margin: np.ndarray) -> QueueState:
+    """The state of the smallest entry of a dense [m, k] array, the first
+    in row-major order on a tie: the smallest (margin, state) pair."""
+    return QueueState(*map(int, np.unravel_index(int(np.argmin(margin)), margin.shape)))
+
+
 def _check_eps(eps: float) -> None:
     """Reject an advisory slack that is not finite and > 0."""
     if not (math.isfinite(eps) and eps > 0.0):
         raise InvalidParameterError(f"eps must be finite and > 0, got {eps}")
 
 
-def _heuristic_totals(n: int, w: float) -> Dict[str, CostTable]:
-    """Total-cost tables of both heuristic profiles of G(n; w); none at w <= 2.
+def _heuristic_totals(n: int, w: float) -> Dict[str, List[float]]:
+    """T(m, 0), m = 0..n, of both heuristic profiles at w; none at w <= 2.
 
-    p_m depends on m and w only, so the (n', 0) entry is T(n', 0) of
-    G(n'; w) for every n' <= n, bit for bit (the prefix property of the
-    solvers holds for ``total_cost_evaluate`` too).
+    p_m depends on m and w only, so T[n'] is T(n', 0) of G(n'; w) for every
+    n' <= n, bit for bit (the prefix property of the solvers).
     """
     if not w > 2.0:
         return {}  # the report prices no heuristic at w <= 2
-    tables = {}
-    for tag, prof_fn in (
-        ("small_w", heuristic_profile_small_w),
-        ("large_w", heuristic_profile_large_w),
-    ):
-        profile = EntryProfile.from_empty_queue_probs(prof_fn(n, w), n)
-        tables[tag], _ = total_cost_evaluate(profile, GameParams(n, w))
-    return tables
+    return {
+        "small_w": _empty_queue_totals(heuristic_profile_small_w(n, w), w),
+        "large_w": _empty_queue_totals(heuristic_profile_large_w(n, w), w),
+    }
+
+
+def _empty_queue_totals(p: Sequence[float], w: float) -> List[float]:
+    """T(m, 0), m = 0..len(p)-1, of the profile entering w.p. p[m] at (m, 0) only.
+
+    Such a profile is priced by the stage recursion that ``solve_opt``
+    minimises, evaluated at p[m] instead of minimised: when i of the m
+    agents enter, the queue drains in i steps while nobody enters, costing
+    w*i(i-1)/2 in the queue and i(m-i) outside, and the game is back at
+    (m-i, 0).  So T(m, 0) = optsolver's stage-m cost at p[m] against
+    T(0..m-1, 0), with T(0, 0) = T(1, 0) = 0; it is m*v(m, 0) of the
+    profile's cost table (``total_cost_evaluate``) up to rounding.
+    """
+    t = [0.0, 0.0]
+    for m in range(2, len(p)):
+        t.append(_StageCost(m, _stage_increments(m, w, t))(p[m]))
+    return t
 
 
 def bounds_report(
@@ -493,7 +519,7 @@ def _bounds_report(
     opt: OptSolution,
     eps: float,
     rel_tol: float,
-    heuristics: Optional[Dict[str, CostTable]],
+    heuristics: Optional[Dict[str, List[float]]],
 ) -> BoundsReport:
     """``bounds_report``, pricing the heuristic profiles off ``heuristics``.
 
@@ -530,27 +556,32 @@ def _bounds_report(
     sc = sc_unrestricted(n)
 
     if w > 2.0:
-        # each worst case is the smallest (margin, key) pair: ties go to the smaller key
-        _, s = min((eq.per_player[s] - (s.total - 1), s) for s in enumerate_states(n))
+        # each worst case is the smallest (margin, state) pair: ties go to the
+        # smaller state, the first in row-major [m, k] order
+        q = _dense_q(eq.profile, n)
+        cost = _dense_values(eq.per_player.values, n)
+        m, k = np.arange(n + 1)[:, None], np.arange(n + 1)
+        margin = np.where((m >= 1) & (m + k <= n), cost - (m + k - 1), math.inf)
+        s = _argmin_state(margin)
         row(
             "per_player_floor",
             "c(m,k) >= m+k-1",
             s.total - 1,
-            eq.per_player[s],
+            cost[s.m, s.k],
             "lower",
             advisory=False,
             note=f"worst state {s}",
         )
-        _, s = min(
-            (eq.profile.q(s) - entry_prob_lower(s.m, s.k, w), s)
-            for s in enumerate_states(n)
-            if s.m >= 2
-        )
+        # entry_prob_lower; rows m <= 1 are masked out, and kept off a 0 divisor
+        with np.errstate(over="ignore"):  # k*(w-1) is inf at huge w, as in float math
+            lower = 2.0 / w * (1.0 - k * (w - 1.0) / np.maximum(m - 1.0, 1.0))
+        margin = np.where((m >= 2) & (m + k <= n), q - np.where(lower > 0.0, lower, 0.0), math.inf)
+        s = _argmin_state(margin)
         row(
             "entry_prob_floor",
             "q(m,k) >= (2/w)(1-k(w-1)/(m-1))",
             entry_prob_lower(s.m, s.k, w),
-            eq.profile.q(s),
+            q[s.m, s.k],
             "lower",
             advisory=False,
             note=f"worst state {s}",
@@ -591,13 +622,11 @@ def _bounds_report(
             ):
                 row(name, formula, bound, c_n, "lower", advisory=True)
         # expected-wait chain: 1/(1-(1-q_{m,0})^(m-1)) + phi(m-1,0) <= phi(m,0)
-        phi = phi_harmonic(w)
+        harmonic = phi_harmonic(w)
+        phi = [0.0] + [harmonic(m, 0) for m in range(1, n + 1)]  # phi[m] = phi(m, 0)
+        q_empty = q[:, 0].tolist()
         margin, m = min(
-            (
-                phi(m, 0)
-                - (1.0 / one_minus_pow(eq.profile.q(QueueState(m, 0)), m - 1) + phi(m - 1, 0)),
-                m,
-            )
+            (phi[m] - (1.0 / one_minus_pow(q_empty[m], m - 1) + phi[m - 1]), m)
             for m in range(2, n + 1)
         )
         row(
@@ -609,17 +638,18 @@ def _bounds_report(
             advisory=False,
             note=f"worst m={m}",
         )
-        vanish = prob_vanishing_check(eq, eps)
-        n_vanish = sum(1 for v in vanish if v.satisfied)
+        _, ms, ks = _decision_states(n)
+        values, satisfied = _vanishing(q, ms, ks, eps, _VANISH_TOL)
+        n_vanish = int(satisfied.sum())
         row(
             "prob_vanishing",
             "q(m,0)(m-1) <= eps and q(m,k>=1) = 0",
             eps,
-            max(v.value for v in vanish),
+            values.max(),
             "upper",
             advisory=True,
-            note=f"{n_vanish}/{len(vanish)} states in vanishing regime",
-            passed=n_vanish == len(vanish),
+            note=f"{n_vanish}/{len(values)} states in vanishing regime",
+            passed=n_vanish == len(values),
         )
     else:
         expected = w * n * (n - 1) / 2.0
@@ -639,11 +669,11 @@ def _bounds_report(
     if w > 2.0:
         if heuristics is None:
             heuristics = _heuristic_totals(n, w)
-        for tag, table in heuristics.items():
+        for tag, totals in heuristics.items():
             row(
                 f"opt_upper_heuristic_{tag}",
                 f"OPT <= cost of {tag} heuristic profile",
-                table[QueueState(n, 0)],
+                totals[n],
                 opt_total,
                 "upper",
                 advisory=False,

@@ -326,7 +326,7 @@ def _parse_range(spec: str) -> List[int]:
 def _sweep_row(
     big_eq: EquilibriumSolution,
     big_opt: OptSolution,
-    heuristics: Dict[str, CostTable],
+    heuristics: Dict[str, List[float]],
     n: int,
     eps: float,
 ) -> List[str]:

@@ -56,11 +56,14 @@ from .model import (
     _binom_matrix,
     _binom_row,
     _check_solver_settings,
+    _decision_states,
+    _dense_q,
+    _dense_values,
     _PmfRow,
     _profile_costs,
+    _state_index,
     _successor_values,
     _wait_cost,
-    cost_enter,
     enumerate_states,
 )
 
@@ -370,7 +373,8 @@ def eq_closed_form_2p(w: float) -> Tuple[float, float]:
 # Verification
 
 
-@dataclass(frozen=True)
+# slots: a report holds one record per state, n(n-1)/2 of them
+@dataclass(frozen=True, slots=True)
 class StateCheck:
     state: QueueState
     q: float
@@ -396,13 +400,15 @@ class VerificationReport:
 
 def _finite_profile_costs(
     profile: EntryProfile, params: GameParams
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``_profile_costs``, refusing a profile that never enters at an empty queue."""
-    if profile.min_empty_queue_prob(params.n) <= 0.0:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense q, v and wait of a profile (``_profile_costs``); refuses one
+    that never enters at an empty queue."""
+    q = _dense_q(profile, params.n)
+    if np.min(q[2:, 0], initial=1.0) <= 0.0:
         raise DivergentCostError(
             "profile cost diverges: nobody ever enters at some empty queue"
         )
-    return _profile_costs(profile, params)
+    return (q, *_profile_costs(q, params.w))
 
 
 def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
@@ -412,9 +418,11 @@ def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
     empty queue the all-wait self-loop is solved linearly, which requires
     q(m,0) > 0 at every m >= 2 (DivergentCostError otherwise).
     """
-    v = _finite_profile_costs(profile, params)[0].tolist()
-    values = {s: v[s.m][s.k] for s in enumerate_states(params.n)}
-    return CostTable(CostRole.PER_OUTSIDE_PLAYER, values)
+    v = _finite_profile_costs(profile, params)[1]
+    n = params.n
+    return CostTable(
+        CostRole.PER_OUTSIDE_PLAYER, dict(zip(enumerate_states(n), v[_state_index(n)].tolist()))
+    )
 
 
 def verify_profile(
@@ -427,55 +435,54 @@ def verify_profile(
     entering to be weakly better, and no single deviation may beat the cost
     the profile itself delivers.
     """
-    n, w = params.n, params.w
-    v, wait = (a.tolist() for a in _finite_profile_costs(profile, params))
-    checks: List[StateCheck] = []
-    worst = 0.0
-    for state in enumerate_states(n):
-        m, k = state.m, state.k
-        if m == 1:
-            continue
-        q = profile.q(state)
-        cost = v[m][k]
-        scale = max(1.0, abs(cost))
-        c1 = cost_enter(state, q, w)
-        c0 = wait[m][k]
-        reasons = []
-        if 0.0 < q < 1.0:
-            resid = abs(c1 - c0)
-            if resid > tol * scale:
-                reasons.append(f"not indifferent at interior q={q:.6g}")
-        elif q == 0.0:
-            resid = max(0.0, c0 - c1)
-            if c0 > c1 + tol * scale:
-                reasons.append("waiting is not a best response at q=0")
-        else:
-            resid = max(0.0, c1 - c0)
-            if c1 > c0 + tol * scale:
-                reasons.append("entering is not a best response at q=1")
-        deviation_gain = cost - min(c1, c0)
-        if deviation_gain > tol * scale:
-            reasons.append(f"profitable deviation worth {deviation_gain:.3g}")
-        resid = max(resid, deviation_gain)
-        worst = max(worst, resid)
-        checks.append(
-            StateCheck(
-                state=state,
-                q=q,
-                cost=cost,
-                enter_cost=c1,
-                wait_cost=c0,
-                residual=resid,
-                passed=not reasons,
-                reason="; ".join(reasons),
-            )
-        )
+    states, ms, ks = _decision_states(params.n)
+    fields, ok, reasons = _check_states(profile, params, ms, ks, tol)
+    checks = tuple(map(StateCheck, states, *fields.tolist(), ok.tolist(), reasons))
     return VerificationReport(
         params=params,
-        checks=tuple(checks),
-        passed=all(c.passed for c in checks),
-        worst_residual=worst,
+        checks=checks,
+        passed=bool(ok.all()),
+        worst_residual=float(np.fmax.reduce(fields[-1], initial=0.0)),
     )
+
+
+def _check_states(
+    profile: EntryProfile, params: GameParams, ms: np.ndarray, ks: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+    """``verify_profile``'s tests on the states (ms, ks), as arrays.
+
+    Returns the rows q, cost, enter cost, wait cost and residual of one
+    array, the verdicts and the reasons.  The comparisons are those of
+    scalar code: ``max`` and ``min`` are ``where`` on ``>`` and ``<``, so a
+    nan never wins one.
+    """
+    w = params.w
+    q, v, wait = _finite_profile_costs(profile, params)
+    q, cost, c0 = q[ms, ks], v[ms, ks], wait[ms, ks]
+    with np.errstate(over="ignore"):  # k*w is inf at huge w, as in float math
+        c1 = (ms - 1) / 2.0 * q * w + ks * w  # cost_enter
+    slack = tol * np.where(np.abs(cost) > 1.0, np.abs(cost), 1.0)
+    interior, idle = (q > 0.0) & (q < 1.0), q == 0.0
+    gain = np.where(idle, c0 - c1, c1 - c0)  # what the pure action gives up
+    resid = np.where(interior, np.abs(c1 - c0), np.where(gain > 0.0, gain, 0.0))
+    bad = np.where(interior, resid > slack, np.where(idle, c0 > c1 + slack, c1 > c0 + slack))
+    deviation_gain = cost - np.where(c0 < c1, c0, c1)
+    deviates = deviation_gain > slack
+    resid = np.where(deviation_gain > resid, deviation_gain, resid)
+    reasons = [""] * len(q)
+    for j in np.flatnonzero(bad | deviates).tolist():
+        r = []
+        if bad[j]:
+            if interior[j]:
+                r.append(f"not indifferent at interior q={float(q[j]):.6g}")
+            elif idle[j]:
+                r.append("waiting is not a best response at q=0")
+            else:
+                r.append("entering is not a best response at q=1")
+        if deviates[j]:
+            r.append(f"profitable deviation worth {float(deviation_gain[j]):.3g}")
+        reasons[j] = "; ".join(r)
+    return np.stack([q, cost, c1, c0, resid]), ~(bad | deviates), reasons
 
 
 def verify_equilibrium(
@@ -486,22 +493,24 @@ def verify_equilibrium(
     n, w = solution.params.n, solution.params.w
     extra: List[StateCheck] = []
     if w > 2.0:
-        for state in enumerate_states(n):
-            floor = state.total - 1
-            cost = solution.per_player[state]
-            if cost < floor - tol * max(1.0, floor):
-                extra.append(
-                    StateCheck(
-                        state=state,
-                        q=solution.profile.q(state),
-                        cost=cost,
-                        enter_cost=math.nan,
-                        wait_cost=math.nan,
-                        residual=floor - cost,
-                        passed=False,
-                        reason=f"per-player cost below floor {floor}",
-                    )
+        ms, ks = _state_index(n)
+        floor = ms + ks - 1
+        cost = _dense_values(solution.per_player.values, n)[ms, ks]
+        states = enumerate_states(n)
+        for j in np.flatnonzero(cost < floor - tol * np.maximum(1.0, floor)).tolist():
+            state, c = states[j], float(cost[j])
+            extra.append(
+                StateCheck(
+                    state=state,
+                    q=solution.profile.q(state),
+                    cost=c,
+                    enter_cost=math.nan,
+                    wait_cost=math.nan,
+                    residual=state.total - 1 - c,
+                    passed=False,
+                    reason=f"per-player cost below floor {state.total - 1}",
                 )
+            )
     if not extra:
         return report
     return VerificationReport(

@@ -32,12 +32,28 @@ and the waiting cost of every state.  The total social cost needs no second
 recursion: each of the m agents outside expects v(m, k), and the k queued
 agents pay w for every agent ahead of them whatever happens outside, so
 T(m, k) = m*v(m, k) + w*k*(k-1)/2.
+
+The pass works on dense rows.  The profile's q is read into an (n+1) x
+(n+1) array once (``_dense_q``, which rejects a profile lacking a state).
+For each m-row, one ``_binom_matrix`` holds the pmf rows of the states with
+q > 0, one fancy index gathers their successors (m-i, k-1+i), i >= 1, from
+rows already priced, and their weighted sums give each state's waiting cost
+as base(k) + slope(k)*v(m, k-1), slope being the weight of slot 0.  That
+leaves v(m, k) = q*c1 + (1-q)*(base + slope*v(m, k-1)): a scalar affine
+recurrence along the row, which one plain loop over k carries (at q = 0 it
+is v = 1 + v(m, k-1); at k = 0 the self-loop is divided out instead).
+Zero weights are skipped, so 0 * inf never appears.  The sums run in
+another order than a per-state dot product, so v and the waiting cost
+match the per-state loop this pass replaced to a relative 1e-13 (worst
+seen 5.2e-15 and 1.3e-14, at G(150; 3)), with the same +inf states.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -401,41 +417,117 @@ def _wait_cost(m: int, k: int, q, rows: np.ndarray, cont: np.ndarray):
     return (1.0 + rows[..., 1:] @ cont[1:]) / one_minus_pow(q, m - 1)
 
 
-def _profile_costs(
-    profile: EntryProfile, params: GameParams
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense [m, k] arrays of a profile's per-player cost v and waiting cost.
+_M_K = (operator.attrgetter("m"), operator.attrgetter("k"))
 
-    v(m, k) = q*c1 + (1-q)*c0 with the agent mixing like everyone else; at an
-    empty queue the all-wait self-loop is divided out.  Row 1 is the
-    lone-agent rule, v(1, k) = k.  A never-entering empty queue costs +inf,
-    and so does every state that reaches one with positive weight.
+
+def _dense_values(values: Mapping[QueueState, float], n: int) -> np.ndarray:
+    """``values`` as an (n+1) x (n+1) array indexed [m, k]: nan at every absent state.
+
+    Entries with m + k > n are ignored.
     """
-    n, w = params.n, params.w
+    out = np.full((n + 1, n + 1), math.nan)
+    if values:
+        m, k = (np.fromiter(map(get, values), np.intp, len(values)) for get in _M_K)
+        vals = np.fromiter(values.values(), float, len(values))
+        keep = m + k <= n
+        out[m[keep], k[keep]] = vals[keep]
+    return out
+
+
+def _dense_q(profile: EntryProfile, n: int) -> np.ndarray:
+    """The profile's entry probabilities on the states of G(n; w), indexed [m, k].
+
+    Row 1 defaults to 1, as ``EntryProfile.q`` does; cells with m + k > n
+    hold nan.  A state with m >= 2 and m + k <= n that the profile lacks is
+    an error, never a default.
+    """
+    q = _dense_values(profile.entries, n)
+    q[1, np.isnan(q[1])] = 1.0
+    m, k = np.arange(n + 1)[:, None], np.arange(n + 1)
+    missing = np.argwhere(np.isnan(q) & (m >= 2) & (m + k <= n))
+    if len(missing):
+        raise InvalidParameterError(
+            f"profile has no entry probability at {QueueState(*map(int, missing[0]))}"
+        )
+    return q
+
+
+@functools.lru_cache(maxsize=1)
+def _state_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """m and k of ``enumerate_states(n)``, in its order, as read-only arrays."""
+    t = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+    m = np.arange(len(t)) - t * (t - 1) // 2 + 1
+    k = t - m
+    for a in (m, k):
+        a.flags.writeable = False
+    return m, k
+
+
+def _decision_states(n: int) -> Tuple[List[QueueState], np.ndarray, np.ndarray]:
+    """The states of ``enumerate_states(n)`` with m >= 2, in its order, and their m and k."""
+    m, k = _state_index(n)
+    keep = m >= 2
+    return list(itertools.compress(_states(n), keep.tolist())), m[keep], k[keep]
+
+
+def _profile_costs(q: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense [m, k] arrays of the per-player cost v and the waiting cost of a profile.
+
+    ``q`` is the profile's dense entry-probability array (``_dense_q``) of
+    G(n; w), n = len(q) - 1.  v(m, k) = q*c1 + (1-q)*c0 with the agent
+    mixing like everyone else; at an empty queue the all-wait self-loop is
+    divided out.  Row 1 is the lone-agent rule, v(1, k) = k.  A
+    never-entering empty queue costs +inf, and so does every state that
+    reaches one with positive weight.  See the module docstring for the row
+    pass.
+    """
+    n = len(q) - 1
+    ks = np.arange(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # k*w is inf at huge w, as in float math
+        enter = (ks[:, None] - 1) / 2.0 * q * w + ks * w  # cost_enter; nan off the game
+    mix = np.multiply(q, enter, np.zeros_like(q), where=q > 0.0)  # q*c1
     v = np.zeros((n + 1, n + 1))
     v[1] = np.arange(n + 1)
     wait = np.zeros((n + 1, n + 1))
     for m in range(2, n + 1):
-        pmf = _PmfRow(m - 1)
-        for k in range(n - m + 1):
-            state = QueueState(m, k)
-            q = profile.q(state)
-            if q == 0.0:
-                # everybody waits one step and the head of the queue is
-                # served; at an empty queue nothing ever moves
-                v[m, k] = wait[m, k] = 1.0 + v[m, k - 1] if k >= 1 else math.inf
-                continue
-            c1 = cost_enter(state, q, w)
-            row = pmf(q)
-            cont = _successor_values(v, m, k, m - 1)
-            cont[row == 0.0] = 0.0  # skips 0 * inf at never-ending successors
-            wait[m, k] = _wait_cost(m, k, q, row, cont)
-            if k >= 1:
-                v[m, k] = q * c1 + (1.0 - q) * wait[m, k]
-            else:
-                # the agent's own entry also ends the all-wait self-loop
-                stay = 1.0 + float(row @ cont)
-                v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
+        size = n - m + 1
+        qs = q[m, :size]
+        # the waiting cost of (m, k) is base + slope * v(m, k-1): slot 0 of
+        # the transition has weight pmf(m-1, 0, q), and the i >= 1 slots
+        # (m-i, k-1+i) lie in rows already priced.  At q = 0 everybody
+        # waits and the head of the queue is served: 1 + v(m, k-1).
+        base, slope = np.ones(size), np.ones(size)
+        pos = np.flatnonzero(qs > 0.0)
+        if len(pos):
+            rows = _binom_matrix(m - 1, qs[pos])
+            i = np.arange(1, m)
+            weights = rows[:, 1:]
+            # zero weights are skipped: 0 * inf at never-ending successors
+            terms = np.multiply(
+                weights, v[m - i, pos[:, None] - 1 + i], np.zeros_like(weights), where=weights > 0.0
+            )
+            base[pos] += terms.sum(axis=1)
+            slope[pos] = rows[:, 0]
+        mixes, stays, bases, slopes = (
+            a.tolist() for a in (mix[m, :size], 1.0 - qs, base, slope)
+        )
+        # k = 0: slot 0 is the self-loop, divided out; q = 0 never moves
+        q0 = float(qs[0])
+        if q0 > 0.0:
+            v_row = [(mixes[0] + stays[0] * bases[0]) / one_minus_pow(q0, m)]
+            w_row = [bases[0] / one_minus_pow(q0, m - 1)]
+        else:
+            v_row, w_row = [math.inf], [math.inf]
+        # k >= 1: v = q*c1 + (1-q)*wait, one scalar affine step per state
+        # carrying v(m, k-1)
+        prev = v_row[0]
+        for a, b, c, s in zip(mixes[1:], stays[1:], bases[1:], slopes[1:]):
+            c = c + s * prev if s > 0.0 else c
+            w_row.append(c)
+            prev = a + b * c
+            v_row.append(prev)
+        v[m, :size] = v_row
+        wait[m, :size] = w_row
     return v, wait
 
 
@@ -451,12 +543,13 @@ def total_cost_evaluate(
     non-terminating.  Returns the table and T(n, 0).
     """
     n, w = params.n, params.w
-    v, _ = _profile_costs(profile, params)
+    v, _ = _profile_costs(_dense_q(profile, n), w)
     ks = np.arange(n + 1)
-    vals = (ks[:, None] * v + w * ks * (ks - 1) / 2.0).tolist()
-    values = {QueueState(0, k): vals[0][k] for k in range(n + 1)}
-    values.update((s, vals[s.m][s.k]) for s in enumerate_states(n))
-    total = vals[n][0]
+    with np.errstate(over="ignore"):  # w*k(k-1)/2 is inf at huge w, as in float math
+        t = ks[:, None] * v + w * ks * (ks - 1) / 2.0
+    values = {QueueState(0, k): c for k, c in enumerate(t[0].tolist())}
+    values.update(zip(enumerate_states(n), t[_state_index(n)].tolist()))
+    total = float(t[n, 0])
     if not math.isfinite(total):
         raise NonTerminatingProfileError(
             "profile never enters at a reachable empty-queue state"

@@ -15,7 +15,14 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from bneck import eqsolver, optsolver
-from bneck.eqsolver import EquilibriumSolution, RootPolicy, StateDiagnostics, solve_equilibrium
+from bneck.eqsolver import (
+    EquilibriumSolution,
+    RootPolicy,
+    StateCheck,
+    StateDiagnostics,
+    VerificationReport,
+    solve_equilibrium,
+)
 from bneck.model import (
     CostRole,
     CostTable,
@@ -26,6 +33,7 @@ from bneck.model import (
     QueueState,
     _binom_consts,
     _binom_row,
+    _PmfRow,
     _successor_values,
     _wait_cost,
     cost_enter,
@@ -374,3 +382,109 @@ def solve_opt_unblocked(
         p.append(best_x)
         opt.append(best_f)
     return OptSolution(params=params, p=tuple(p[: n + 1]), opt=tuple(opt[: n + 1]))
+
+
+def profile_costs_per_state(
+    profile: EntryProfile, params: GameParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense [m, k] per-player and waiting costs of a profile, one state at a time (frozen).
+
+    The per-state loop that ``model._profile_costs``'s row pass replaced:
+    one pmf row, one successor gather and one dot product per state.  The
+    row pass sums in another order, so tests compare it at a tolerance.
+    """
+    n, w = params.n, params.w
+    v = np.zeros((n + 1, n + 1))
+    v[1] = np.arange(n + 1)
+    wait = np.zeros((n + 1, n + 1))
+    for m in range(2, n + 1):
+        pmf = _PmfRow(m - 1)
+        for k in range(n - m + 1):
+            state = QueueState(m, k)
+            q = profile.q(state)
+            if q == 0.0:
+                v[m, k] = wait[m, k] = 1.0 + v[m, k - 1] if k >= 1 else math.inf
+                continue
+            c1 = cost_enter(state, q, w)
+            row = pmf(q)
+            cont = _successor_values(v, m, k, m - 1)
+            cont[row == 0.0] = 0.0
+            wait[m, k] = _wait_cost(m, k, q, row, cont)
+            if k >= 1:
+                v[m, k] = q * c1 + (1.0 - q) * wait[m, k]
+            else:
+                stay = 1.0 + float(row @ cont)
+                v[m, k] = (q * c1 + (1.0 - q) * stay) / one_minus_pow(q, m)
+    return v, wait
+
+
+def verify_profile_per_state(
+    profile: EntryProfile, params: GameParams, tol: float = 1e-9
+) -> VerificationReport:
+    """``eqsolver.verify_profile`` as one scalar test per state (frozen).
+
+    Prices the profile with ``profile_costs_per_state``; divergent profiles
+    are the caller's business.
+    """
+    n, w = params.n, params.w
+    v, wait = (a.tolist() for a in profile_costs_per_state(profile, params))
+    checks: List[StateCheck] = []
+    worst = 0.0
+    for state in enumerate_states(n):
+        m, k = state.m, state.k
+        if m == 1:
+            continue
+        q = profile.q(state)
+        cost = v[m][k]
+        scale = max(1.0, abs(cost))
+        c1 = cost_enter(state, q, w)
+        c0 = wait[m][k]
+        reasons = []
+        if 0.0 < q < 1.0:
+            resid = abs(c1 - c0)
+            if resid > tol * scale:
+                reasons.append(f"not indifferent at interior q={q:.6g}")
+        elif q == 0.0:
+            resid = max(0.0, c0 - c1)
+            if c0 > c1 + tol * scale:
+                reasons.append("waiting is not a best response at q=0")
+        else:
+            resid = max(0.0, c1 - c0)
+            if c1 > c0 + tol * scale:
+                reasons.append("entering is not a best response at q=1")
+        deviation_gain = cost - min(c1, c0)
+        if deviation_gain > tol * scale:
+            reasons.append(f"profitable deviation worth {deviation_gain:.3g}")
+        resid = max(resid, deviation_gain)
+        worst = max(worst, resid)
+        checks.append(
+            StateCheck(state, q, cost, c1, c0, resid, not reasons, "; ".join(reasons))
+        )
+    return VerificationReport(
+        params=params,
+        checks=tuple(checks),
+        passed=all(c.passed for c in checks),
+        worst_residual=worst,
+    )
+
+
+def empty_queue_totals_exact(p: Sequence[float], n: int, w: float, dps: int = 40) -> float:
+    """``total_cost_direct`` in mpmath at ``dps`` digits, with p[m] taken exactly.
+
+    At w = 1e18 the heuristic p_m are about 1e-9, where the naive
+    1 - (1-p)^m of ``total_cost_direct`` loses about 7 digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        big_w = mpmath.mpf(w)
+        vals = [mpmath.mpf(0)]
+        for m in range(1, n + 1):
+            pm = mpmath.mpf(p[m])
+            stay = 1 - pm
+            acc = stay**m * m
+            for i in range(1, m + 1):
+                weight = mpmath.binomial(m, i) * pm**i * stay ** (m - i)
+                acc += weight * (big_w * i * (i - 1) / 2 + i * (m - i) + vals[m - i])
+            vals.append(acc / (1 - stay**m))
+        return float(vals[n])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -21,10 +22,18 @@ from bneck.bounds import (
     ratio_targets,
     NiceBoundFunction,
 )
-from bneck.eqsolver import solve_equilibrium
-from bneck.model import GameParams, InvalidParameterError, QueueState
-from bneck.optsolver import solve_opt
+from bneck.eqsolver import solve_equilibrium, verify_equilibrium
+from bneck.model import (
+    EntryProfile,
+    GameParams,
+    InvalidParameterError,
+    QueueState,
+    enumerate_states,
+    total_cost_evaluate,
+)
+from bneck.optsolver import heuristic_profile_large_w, heuristic_profile_small_w, solve_opt
 
+import oracles
 from oracles import prob_vanishing_trend
 
 S = QueueState
@@ -198,6 +207,53 @@ class TestBoundsReport:
             got = bounds_mod._bounds_report(eq, opt, 0.5, bounds_mod.DEFAULT_REL_TOL, big)
             assert repr(got) == repr(bounds_report(eq, opt))
 
+    @pytest.mark.parametrize("n, w", [(2, 8.0), (7, 2.5), (12, 3.0), (30, 10.0), (40, 1e18)])
+    def test_array_rows_match_per_state_minimum(self, n, w):
+        # the worst state is the smallest (margin, state) pair, ties to the smaller state
+        params = GameParams(n, w)
+        eq = solve_equilibrium(params)
+        entries = {e.name: e for e in bounds_report(eq, solve_opt(params)).entries}
+        _, s = min((eq.per_player[s] - (s.total - 1), s) for s in enumerate_states(n))
+        e = entries["per_player_floor"]
+        assert (e.note, e.bound, e.observed) == (f"worst state {s}", s.total - 1, eq.per_player[s])
+        _, s = min(
+            (eq.profile.q(s) - entry_prob_lower(s.m, s.k, w), s)
+            for s in enumerate_states(n)
+            if s.m >= 2
+        )
+        e = entries["entry_prob_floor"]
+        assert (e.note, e.bound, e.observed) == (
+            f"worst state {s}",
+            entry_prob_lower(s.m, s.k, w),
+            eq.profile.q(s),
+        )
+        vanish = []
+        for s in enumerate_states(n):
+            if s.m >= 2:
+                q = eq.profile.q(s)
+                value = q * (s.m - 1) if s.k == 0 else q
+                vanish.append((s, value, value <= (0.5 if s.k == 0 else 1e-9)))
+        got = prob_vanishing_check(eq, 0.5)
+        assert [(v.state, v.value, v.satisfied) for v in got] == vanish
+        e = entries["prob_vanishing"]
+        assert e.observed == max(v[1] for v in vanish)
+        assert e.note == f"{sum(v[2] for v in vanish)}/{len(vanish)} states in vanishing regime"
+
+    def test_no_float_warnings_at_huge_w(self):
+        # k*w overflows to inf at w near the float maximum, silently as in
+        # scalar float math
+        params = GameParams(6, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            eq, opt = solve_equilibrium(params), solve_opt(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert verify_equilibrium(eq).passed
+            report = bounds_report(eq, opt)
+            total = total_cost_evaluate(eq.profile, params)[1]
+        assert report.entries[0].name == "per_player_floor"
+        assert total == pytest.approx(eq.total_cost, rel=1e-9)
+
     def test_parameter_mismatch(self):
         eq = solve_equilibrium(GameParams(3, 10.0))
         opt = solve_opt(GameParams(4, 10.0))
@@ -266,3 +322,39 @@ class TestReportLayout:
             ("opt_large_w_lower", True),
             ("opt_large_w_upper", True),
         ]
+
+
+class TestHeuristicTotals:
+    """The heuristic profiles priced by the optimum's stage recursion."""
+
+    @pytest.mark.parametrize("w", [2.5, 3.0, 10.0, 100.0, 1e18])
+    @pytest.mark.parametrize("prof_fn", [heuristic_profile_small_w, heuristic_profile_large_w])
+    def test_matches_the_profile_cost_table(self, prof_fn, w):
+        # T(n', 0) of G(150; w) is T(n', 0) of G(n'; w): one pass checks every n'
+        p = prof_fn(150, w)
+        totals = bounds_mod._empty_queue_totals(p, w)
+        table, _ = total_cost_evaluate(EntryProfile.from_empty_queue_probs(p, 150), GameParams(150, w))
+        for n in list(range(2, 41)) + [150]:
+            assert totals[n] == pytest.approx(table[S(n, 0)], rel=1e-13, abs=0.0)
+        if w <= 100.0:
+            for n in (2, 3, 10, 40, 150):
+                assert totals[n] == pytest.approx(oracles.total_cost_direct(p, n, w), rel=1e-10)
+
+    @pytest.mark.parametrize("prof_fn", [heuristic_profile_small_w, heuristic_profile_large_w])
+    def test_matches_exact_recursion_at_huge_w(self, prof_fn):
+        # at w = 1e18, p_m is about 1e-9 and total_cost_direct's naive
+        # 1 - (1-p)^m loses about 7 digits, so the oracle runs in mpmath
+        w = 1e18
+        p = prof_fn(60, w)
+        totals = bounds_mod._empty_queue_totals(p, w)
+        for n in (2, 3, 10, 60):
+            assert totals[n] == pytest.approx(oracles.empty_queue_totals_exact(p, n, w), rel=1e-12)
+
+    def test_prefix_property(self):
+        big = bounds_mod._heuristic_totals(40, 3.0)
+        for n in (2, 9, 40):
+            small = bounds_mod._heuristic_totals(n, 3.0)
+            assert {tag: t[n] for tag, t in small.items()} == {tag: t[n] for tag, t in big.items()}
+
+    def test_none_at_small_w(self):
+        assert bounds_mod._heuristic_totals(10, 2.0) == {}

@@ -18,7 +18,7 @@ from bneck.cli import (
 from bneck import bounds as bounds_mod
 from bneck.bounds import bounds_report
 from bneck.eqsolver import RootPolicy, solve_equilibrium
-from bneck.model import GameParams, InvalidParameterError, QueueState, total_cost_evaluate
+from bneck.model import GameParams, InvalidParameterError, QueueState
 from bneck.optsolver import sc_unrestricted, solve_opt
 
 
@@ -351,20 +351,19 @@ class TestSweep:
         # two heuristic profiles per distinct w > 2, priced at the largest n,
         # not two per cell; test_rows_match_per_cell_solves pins the values
         calls = []
+        price = bounds_mod._empty_queue_totals
 
-        def counting(profile, params):
-            calls.append(params)
-            return total_cost_evaluate(profile, params)
+        def counting(p, w):
+            calls.append((len(p) - 1, w))
+            return price(p, w)
 
-        monkeypatch.setattr(bounds_mod, "total_cost_evaluate", counting)
+        monkeypatch.setattr(bounds_mod, "_empty_queue_totals", counting)
         code, text = run(
             ["sweep", "--n-range", "2:9", "--w-list", "2.5,3,1.5,10,3"], tmp_path
         )
         assert code == EXIT_OK
         assert len(text.splitlines()) == 1 + 8 * 5
-        assert sorted(calls, key=lambda p: p.w) == [
-            GameParams(9, w) for w in (2.5, 2.5, 3.0, 3.0, 10.0, 10.0)
-        ]
+        assert sorted(calls) == [(9, w) for w in (2.5, 2.5, 3.0, 3.0, 10.0, 10.0)]
 
     def test_bad_range(self, tmp_path):
         assert main(["sweep", "--n-range", "5:2", "--w-list", "3"]) == EXIT_BAD_INPUT

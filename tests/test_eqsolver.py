@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -16,6 +17,8 @@ from bneck.eqsolver import (
     verify_profile,
 )
 from bneck.model import (
+    CostRole,
+    CostTable,
     EntryProfile,
     GameParams,
     InvalidParameterError,
@@ -270,6 +273,20 @@ class TestVerify:
         assert report.failing_states == [S(2, 0)]
         assert report.worst_residual == pytest.approx(0.6 * 4 - 1 / 0.6, rel=1e-6)
 
+    def test_cost_below_floor_fails(self):
+        sol = solve_equilibrium(GameParams(5, 3.0))
+        costs = dict(sol.per_player.values)
+        costs[S(3, 1)] = 2.5  # floor m + k - 1 = 3
+        costs[S(2, 2)] = 3.0 - 1e-12  # within tol of the floor
+        bad = dataclasses.replace(sol, per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs))
+        report = verify_equilibrium(bad)
+        assert not report.passed
+        assert report.failing_states == [S(3, 1)]
+        extra = report.checks[-1]
+        assert (extra.cost, extra.residual, extra.q) == (2.5, 0.5, sol.profile.q(S(3, 1)))
+        assert extra.reason == "per-player cost below floor 3"
+        assert report.worst_residual == 0.5
+
     def test_profile_cost_table_matches_solver(self):
         sol = solve_equilibrium(GameParams(4, 9.0))
         table = profile_cost_table(sol.profile, sol.params)
@@ -299,6 +316,69 @@ class TestVerify:
             _, total = total_cost_evaluate(profile, params)
             per_player = profile_cost_table(profile, params)[S(n, 0)]
             assert total == pytest.approx(n * per_player, rel=1e-12)
+
+
+def _perturbed(profile, changes):
+    entries = dict(profile.entries)
+    entries.update(changes)
+    return EntryProfile(entries)
+
+
+class TestVerifyAgainstPerState:
+    """``verify_profile``'s array tests against the frozen per-state loop.
+
+    Per state the verdict and the reason must be equal; q, enter cost and
+    residual come from two pricings that differ in the last digits, so the
+    residual agrees to 1e-12 of the state's cost scale, the scale the check
+    itself uses.
+    """
+
+    def assert_same(self, profile, params):
+        got = verify_profile(profile, params)
+        want = oracles.verify_profile_per_state(profile, params)
+        assert got.passed == want.passed
+        assert [c.state for c in got.checks] == [c.state for c in want.checks]
+        for a, b in zip(got.checks, want.checks):
+            assert (a.passed, a.reason) == (b.passed, b.reason), a.state
+            assert a.q == b.q and a.enter_cost == b.enter_cost
+            scale = max(1.0, abs(b.cost))
+            assert abs(a.residual - b.residual) <= 1e-12 * scale, a.state
+            assert a.cost == pytest.approx(b.cost, rel=1e-13)
+            assert a.wait_cost == pytest.approx(b.wait_cost, rel=1e-13)
+        assert got.worst_residual == pytest.approx(want.worst_residual, rel=1e-12, abs=1e-12)
+        return {r.split(" ")[0] for c in got.checks for r in c.reason.split("; ") if r}
+
+    @pytest.mark.parametrize("n, w", [(2, 8.0), (5, 1.5), (12, 3.0), (40, 10.0), (60, 100.0)])
+    def test_equilibrium_profiles(self, n, w):
+        params = GameParams(n, w)
+        assert self.assert_same(solve_equilibrium(params).profile, params) == set()
+
+    def test_every_reason_branch(self):
+        kinds = set()
+        params = GameParams(8, 3.0)
+        eq = solve_equilibrium(params).profile
+        interior = next(s for s in enumerate_states(8) if 0.0 < eq.q(s) < 1.0 and s.k >= 1)
+        kinds |= self.assert_same(_perturbed(eq, {interior: eq.q(interior) * 1.2}), params)
+        # all enter at w = 1.5, but nobody at (2, 1): entering there costs 1.5
+        params = GameParams(4, 1.5)
+        kinds |= self.assert_same(_perturbed(EntryProfile.all_enter(4), {S(2, 1): 0.0}), params)
+        # everybody enters a queue of one at w = 10
+        params = GameParams(6, 10.0)
+        eq = solve_equilibrium(params).profile
+        kinds |= self.assert_same(_perturbed(eq, {S(3, 1): 1.0}), params)
+        assert kinds == {"not", "waiting", "entering", "profitable"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_profiles(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        n = int(rng.integers(2, 30))
+        params = GameParams(n, float(1.2 + 30.0 * rng.random()))
+        entries = {
+            s: 1.0 if s.m == 1 else 0.05 + 0.95 * float(rng.random()) if s.k == 0
+            else float(rng.choice([0.0, 1.0, rng.random()]))
+            for s in enumerate_states(n)
+        }
+        self.assert_same(EntryProfile(entries), params)
 
 
 class TestPolicies:

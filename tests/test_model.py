@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bneck import model
-from bneck.eqsolver import profile_cost_table
+from bneck.eqsolver import profile_cost_table, solve_equilibrium, verify_profile
 from bneck.model import (
     CostRole,
     CostTable,
@@ -19,6 +19,7 @@ from bneck.model import (
     enumerate_states,
     total_cost_evaluate,
 )
+from bneck.optsolver import heuristic_profile_large_w, heuristic_profile_small_w
 
 import oracles
 from oracles import cost_wait, step_cost_total
@@ -304,3 +305,108 @@ class TestTotalCostEvaluate:
         table, _ = total_cost_evaluate(profile, GameParams(4, 3.0))
         for k in range(0, 4):
             assert table[S(1, k)] == pytest.approx(k + 3.0 * k * (k - 1) / 2.0)
+
+
+_DENSE_WS = [1.5, 2.5, 3.0, 10.0, 100.0, 1e18]
+
+
+@pytest.fixture(scope="module")
+def eq150():
+    """Equilibrium profiles of G(150; w); a profile prices G(n; w), n <= 150, as is."""
+    return {w: solve_equilibrium(GameParams(150, w)).profile for w in _DENSE_WS}
+
+
+def _random_profile(n, rng):
+    """q = 0, interior or 1 at k >= 1; interior or 1 at k = 0, so every state is finite."""
+    entries = {}
+    for s in enumerate_states(n):
+        u = float(rng.random())
+        if s.m == 1:
+            entries[s] = 1.0
+        elif s.k == 0:
+            entries[s] = 1.0 if u < 0.2 else 0.01 + 0.98 * float(rng.random())
+        else:
+            entries[s] = 0.0 if u < 0.35 else 1.0 if u < 0.55 else float(rng.random())
+    return EntryProfile(entries)
+
+
+class TestDenseRowPass:
+    """``model._profile_costs`` against the frozen per-state loop it replaced.
+
+    The row pass sums each continuation in another order, so v and the
+    waiting cost agree to rel 1e-13 (worst seen 5.2e-15 and 1.3e-14, at
+    G(150; 3)), with the same +inf states.
+    """
+
+    def assert_close(self, profile, params):
+        got = model._profile_costs(model._dense_q(profile, params.n), params.w)
+        want = oracles.profile_costs_per_state(profile, params)
+        for a, b in zip(got, want):
+            n = params.n
+            tri = np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+            a, b = a[tri], b[tri]
+            assert np.array_equal(np.isinf(a), np.isinf(b))
+            fin = np.isfinite(b)
+            np.testing.assert_allclose(a[fin], b[fin], rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("w", _DENSE_WS)
+    @pytest.mark.parametrize("n", [2, 3, 17, 40, 150])
+    def test_equilibrium_profiles(self, eq150, n, w):
+        self.assert_close(eq150[w], GameParams(n, w))
+
+    @pytest.mark.parametrize("w", [2.5, 3.0, 10.0, 100.0, 1e18])
+    @pytest.mark.parametrize("n", [2, 17, 150])
+    def test_heuristic_profiles(self, n, w):
+        for prof_fn in (heuristic_profile_small_w, heuristic_profile_large_w):
+            profile = EntryProfile.from_empty_queue_probs(prof_fn(n, w), n)
+            self.assert_close(profile, GameParams(n, w))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_profiles(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 41))
+        w = float(1.2 + 50.0 * rng.random())
+        self.assert_close(_random_profile(n, rng), GameParams(n, w))
+
+    def test_off_path_never_entering_states(self):
+        entries = {S(3, 0): 1.0, S(2, 0): 0.0, S(2, 1): 0.5}
+        entries.update((S(1, k), 1.0) for k in range(3))
+        self.assert_close(EntryProfile(entries), GameParams(3, 8.0))
+
+
+class TestMissingState:
+    """A profile that lacks a state of the game is rejected, never given a default q."""
+
+    def lacking(self):
+        entries = {S(3, 0): 0.5, S(2, 0): 0.5}
+        entries.update((S(1, k), 1.0) for k in range(3))
+        return EntryProfile(entries), GameParams(3, 8.0)  # no (2, 1)
+
+    def test_total_cost_evaluate(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            total_cost_evaluate(*self.lacking())
+
+    def test_profile_cost_table(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            profile_cost_table(*self.lacking())
+
+    def test_verify_profile(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            verify_profile(*self.lacking())
+
+    def test_names_the_first_missing_state(self):
+        entries = {S(1, k): 1.0 for k in range(4)}
+        entries[S(2, 0)] = 0.5
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            total_cost_evaluate(EntryProfile(entries), GameParams(4, 8.0))
+
+    def test_lone_agent_states_default_to_one(self):
+        profile = EntryProfile({S(2, 0): 0.5})
+        _, total = total_cost_evaluate(profile, GameParams(2, 8.0))
+        assert total == pytest.approx((2 - 1 + 0.25 * 8.0) / 0.75, rel=1e-12)
+
+    def test_states_beyond_n_are_ignored(self):
+        profile = EntryProfile.all_enter(5)
+        table, total = total_cost_evaluate(profile, GameParams(3, 1.5))
+        assert total == pytest.approx(4.5, rel=1e-14)
+        assert S(3, 1) not in table.values
