@@ -23,7 +23,7 @@ from .model import (
     QueueState,
     _decision_states,
     _dense_q,
-    _dense_values,
+    _first_state,
     one_minus_pow,
 )
 from .optsolver import (
@@ -453,12 +453,6 @@ class BoundsReport:
         return not self.hard_failures
 
 
-def _argmin_state(margin: np.ndarray) -> QueueState:
-    """The state of the smallest entry of a dense [m, k] array, the first
-    in row-major order on a tie: the smallest (margin, state) pair."""
-    return QueueState(*map(int, np.unravel_index(int(np.argmin(margin)), margin.shape)))
-
-
 def _check_eps(eps: float) -> None:
     """Reject an advisory slack that is not finite and > 0."""
     if not (math.isfinite(eps) and eps > 0.0):
@@ -556,13 +550,13 @@ def _bounds_report(
     sc = sc_unrestricted(n)
 
     if w > 2.0:
-        # each worst case is the smallest (margin, state) pair: ties go to the
-        # smaller state, the first in row-major [m, k] order
+        # each worst case is the smallest (margin, state) pair, ties going to the first
+        # state in row-major [m, k] order; a state the cost table lacks (nan) is worst
         q = _dense_q(eq.profile, n)
-        cost = _dense_values(eq.per_player.values, n)
+        cost = eq.per_player.values.dense(n)
         m, k = np.arange(n + 1)[:, None], np.arange(n + 1)
         margin = np.where((m >= 1) & (m + k <= n), cost - (m + k - 1), math.inf)
-        s = _argmin_state(margin)
+        s = _first_state(np.isnan(margin) | (margin == margin.min()))
         row(
             "per_player_floor",
             "c(m,k) >= m+k-1",
@@ -576,7 +570,7 @@ def _bounds_report(
         with np.errstate(over="ignore"):  # k*(w-1) is inf at huge w, as in float math
             lower = 2.0 / w * (1.0 - k * (w - 1.0) / np.maximum(m - 1.0, 1.0))
         margin = np.where((m >= 2) & (m + k <= n), q - np.where(lower > 0.0, lower, 0.0), math.inf)
-        s = _argmin_state(margin)
+        s = _first_state(margin == margin.min())
         row(
             "entry_prob_floor",
             "q(m,k) >= (2/w)(1-k(w-1)/(m-1))",

@@ -34,6 +34,7 @@ from .model import (
     InvalidParameterError,
     NonTerminatingProfileError,
     QueueState,
+    _dense_q,
     enumerate_states,
 )
 from .optsolver import OptSolution, sc_unrestricted, solve_opt
@@ -130,17 +131,10 @@ def parse_profile_document(doc: dict) -> Tuple[EntryProfile, GameParams]:
             raise InvalidParameterError(f"duplicate profile entry for {state}")
         if state.m < 1 or state.total > params.n:
             raise InvalidParameterError(f"state {state} outside game with n={params.n}")
-        if not 0.0 <= q <= 1.0:
-            raise InvalidParameterError(f"q={q} at {state} not in [0,1]")
-        if state.m == 1 and q != 1.0:
-            raise InvalidParameterError(f"entries at (1,k) must have q=1, got {q}")
         entries[state] = q
-    for s in enumerate_states(params.n):
-        if s.m >= 2 and s not in entries:
-            raise InvalidParameterError(f"profile is missing state {s}")
-        if s.m == 1 and s not in entries:
-            entries[s] = 1.0
-    return EntryProfile(entries), params
+    profile = EntryProfile(entries)
+    _dense_q(profile, params.n)  # rejects a profile lacking a state of the game
+    return profile, params
 
 
 def load_profile_document(path: str) -> Tuple[EntryProfile, GameParams]:
@@ -335,14 +329,13 @@ def _sweep_row(
     ``heuristics`` is ``bounds._heuristic_totals(N, w)``.
     """
     params = GameParams(n, big_eq.params.w)
-    states = enumerate_states(n)
-    costs = {s: big_eq.per_player[s] for s in states}
     eq = EquilibriumSolution(
         params=params,
-        profile=EntryProfile({s: big_eq.profile.entries[s] for s in states}),
-        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs),
+        profile=EntryProfile(big_eq.profile.entries.dense(n)),
+        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, big_eq.per_player.values.dense(n)),
         policy=big_eq.policy,
-        diagnostics={s: big_eq.diagnostics[s] for s in states},
+        # in enumerate_states order, so the states of G(n; w) come first
+        diagnostics=dict(list(big_eq.diagnostics.items())[: n * (n + 1) // 2]),
     )
     opt = OptSolution(params, big_opt.p[: n + 1], big_opt.opt[: n + 1])
     report = bounds_mod._bounds_report(eq, opt, eps, bounds_mod.DEFAULT_REL_TOL, heuristics)
@@ -511,10 +504,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidParameterError, NonTerminatingProfileError, DivergentCostError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    # ValueError covers InvalidParameterError, NonTerminatingProfileError and JSONDecodeError
+    except (ValueError, DivergentCostError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except InternalInconsistencyError as exc:

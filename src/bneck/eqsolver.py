@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .model import (
     _check_solver_settings,
     _decision_states,
     _dense_q,
-    _dense_values,
+    _mask_off_game,
     _PmfRow,
     _profile_costs,
     _state_index,
@@ -312,13 +312,11 @@ def solve_equilibrium(
     """
     _check_solver_settings(grid_points, tol)
     n, w = params.n, params.w
-    # cost[m, k] feeds the continuation gather; row m = 1 is the lone-agent
-    # rule.  solved[m][k] is (q, cost, root count, residual), read back below
-    # in enumerate_states order so the returned mappings keep that order.
-    cost = np.zeros((n + 1, n + 1))
+    # q, cost, root count and residual per state, indexed [m, k]; cost feeds
+    # the continuation gather.  Row m = 1 is the lone-agent rule.
+    q, cost = np.ones((n + 1, n + 1)), np.zeros((n + 1, n + 1))
     cost[1] = np.arange(n + 1)
-    solved: List[List[Tuple[float, float, int, float]]] = [[] for _ in range(n + 1)]
-    solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
+    roots, residual = np.zeros((n + 1, n + 1), dtype=int), np.zeros((n + 1, n + 1))
     upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
     cert = 1.0 + _CERT_MARGIN
     for m in range(2, n + 1):
@@ -331,6 +329,7 @@ def solve_equilibrium(
         conts[:, 1:] = cost[m - i, ks[:, None] - 1 + i]
         tail_max = conts[:, 1:].max(axis=1).tolist()
         prev = 0.0  # cost(m, k-1); slot 0 is the divided-out self-loop at k = 0
+        results = []
         for k in ks.tolist():
             # _certifies_no_entry with cont.max() = max(prev, tail_max[k])
             if k >= 1 and k * w > (1.0 + max(prev, tail_max[k])) * cert:
@@ -340,22 +339,17 @@ def solve_equilibrium(
                 cont[0] = prev
                 result = _scan_state(rows, k, w, cont, policy, tol)
             prev = result[1]
-            solved[m].append(result)
-        cost[m, : len(ks)] = [r[1] for r in solved[m]]
-    profile: Dict[QueueState, float] = {}
-    costs: Dict[QueueState, float] = {}
-    diags: Dict[QueueState, StateDiagnostics] = {}
-    for state in enumerate_states(n):
-        q, c, count, res = solved[state.m][state.k]
-        profile[state] = q
-        costs[state] = c
-        diags[state] = StateDiagnostics(root_count=count, residual=res)
+            results.append(result)
+        row = np.s_[m, : len(ks)]
+        q[row], cost[row], roots[row], residual[row] = zip(*results)
+    states = _state_index(n)
+    diagnostics = map(StateDiagnostics, roots[states].tolist(), residual[states].tolist())
     return EquilibriumSolution(
         params=params,
-        profile=EntryProfile(profile),
-        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs),
+        profile=EntryProfile(_mask_off_game(q, 1)),
+        per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, _mask_off_game(cost, 1)),
         policy=policy,
-        diagnostics=diags,
+        diagnostics=dict(zip(enumerate_states(n), diagnostics)),
     )
 
 
@@ -419,10 +413,7 @@ def profile_cost_table(profile: EntryProfile, params: GameParams) -> CostTable:
     q(m,0) > 0 at every m >= 2 (DivergentCostError otherwise).
     """
     v = _finite_profile_costs(profile, params)[1]
-    n = params.n
-    return CostTable(
-        CostRole.PER_OUTSIDE_PLAYER, dict(zip(enumerate_states(n), v[_state_index(n)].tolist()))
-    )
+    return CostTable(CostRole.PER_OUTSIDE_PLAYER, _mask_off_game(v, 1))
 
 
 def verify_profile(
@@ -495,7 +486,7 @@ def verify_equilibrium(
     if w > 2.0:
         ms, ks = _state_index(n)
         floor = ms + ks - 1
-        cost = _dense_values(solution.per_player.values, n)[ms, ks]
+        cost = solution.per_player.values.dense(n)[ms, ks]
         states = enumerate_states(n)
         for j in np.flatnonzero(cost < floor - tol * np.maximum(1.0, floor)).tolist():
             state, c = states[j], float(cost[j])

@@ -22,10 +22,10 @@ Cost conventions used throughout:
 
 Every cost is a recursion over one transition: from (m, k), i agents enter
 with Binomial odds and the game moves to (m-i, k+i-1).  ``_successor_values``
-holds that index arithmetic.  The recursions keep per-state values in dense
-(n+1) x (n+1) arrays indexed [m, k], visit states m-major (m ascending, then
-k ascending: (m, k) needs (m, k-1) and states with fewer agents outside) and
-convert to ``CostTable`` and dict types once, at the end.
+holds that index arithmetic.  Per-state values live in dense (n+1) x (n+1)
+arrays indexed [m, k]; every per-state table is one behind the Mapping type
+``_StateTable``, nan marking an absent state.  Recursions visit states m-major
+(m ascending, then k ascending: (m, k) needs (m, k-1) and fewer agents out).
 
 One pass, ``_profile_costs``, prices a profile: the per-player cost v(m, k)
 and the waiting cost of every state.  The total social cost needs no second
@@ -53,10 +53,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -132,6 +131,69 @@ class CostRole(Enum):
     TOTAL_SOCIAL = "total_social"
 
 
+class _StateTable(Mapping):
+    """A read-only Mapping QueueState -> float over one (N+1) x (N+1) [m, k] array.
+
+    nan marks an absent state; every cell with m + k > N is nan.  Built from
+    a Mapping (a nan value is rejected), from an array (not copied; made
+    read-only) or from another table (sharing its array).  Iterates over row
+    m = 0, then in ``enumerate_states`` order; its repr is the dict's.
+    """
+
+    __slots__ = ("_a",)
+
+    def __init__(self, values: Mapping[QueueState, float]):
+        a = values._a if isinstance(values, _StateTable) else values
+        if not isinstance(a, np.ndarray):
+            vals = np.fromiter(values.values(), float, len(values))
+            if np.isnan(vals).any():
+                state = min(itertools.compress(values, np.isnan(vals)))
+                raise InvalidParameterError(f"value nan at {state}: nan marks an absent state")
+            m, k = np.array([(s.m, s.k) for s in values], np.intp).reshape(-1, 2).T
+            a = np.full((int(np.max(m + k, initial=0)) + 1,) * 2, math.nan)
+            a[m, k] = vals
+        a.flags.writeable = False
+        self._a = a
+
+    def __getitem__(self, state: QueueState) -> float:
+        a, m, k = self._a, state.m, state.k
+        if 0 <= m < len(a) and 0 <= k < len(a):
+            v = a.item(m, k)
+            if v == v:  # nan marks an absent state
+                return v
+        raise KeyError(state)
+
+    def __iter__(self) -> Iterator[QueueState]:
+        a, n = self._a, len(self._a) - 1
+        yield from map(QueueState, itertools.repeat(0), np.flatnonzero(~np.isnan(a[0])).tolist())
+        yield from itertools.compress(_states(n), (~np.isnan(a[_state_index(n)])).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(~np.isnan(self._a)))
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def dense(self, n: int) -> np.ndarray:
+        """A writable (n+1) x (n+1) copy: nan where a state is absent and where m + k > n."""
+        out = np.full((n + 1, n + 1), math.nan)
+        out[: len(self._a), : len(self._a)] = self._a[: n + 1, : n + 1]
+        return _mask_off_game(out, 0)
+
+
+def _mask_off_game(a: np.ndarray, first_row: int) -> np.ndarray:
+    """``a``, an (n+1) x (n+1) array, with nan written where m < first_row or m + k > n."""
+    a[:first_row] = math.nan
+    a[np.fliplr(np.tri(len(a), k=-1, dtype=bool))] = math.nan  # m + k > n
+    return a
+
+
+def _first_state(mask: np.ndarray) -> Optional[QueueState]:
+    """The first state, in row-major [m, k] order, at which a dense mask holds; None if none."""
+    j = int(np.argmax(mask))
+    return QueueState(*divmod(j, mask.shape[1])) if mask.flat[j] else None
+
+
 @dataclass(frozen=True)
 class CostTable:
     """Expected costs per state, either per outside player or total social."""
@@ -140,13 +202,13 @@ class CostTable:
     values: Mapping[QueueState, float]
 
     def __post_init__(self):
-        for state, value in self.values.items():
-            if value < 0:
-                raise InvalidParameterError(f"negative cost {value} at {state}")
-            if self.role is CostRole.PER_OUTSIDE_PLAYER and state.m < 1:
-                raise InvalidParameterError(
-                    f"per-player cost defined only for m >= 1, got {state}"
-                )
+        object.__setattr__(self, "values", _StateTable(self.values))
+        state = _first_state(self.values._a < 0.0)
+        if state is not None:
+            raise InvalidParameterError(f"negative cost {self.values[state]} at {state}")
+        state = _first_state(~np.isnan(self.values._a[:1]))
+        if self.role is CostRole.PER_OUTSIDE_PLAYER and state is not None:
+            raise InvalidParameterError(f"per-player cost defined only for m >= 1, got {state}")
 
     def __getitem__(self, state: QueueState) -> float:
         return self.values[state]
@@ -163,24 +225,24 @@ class EntryProfile:
     entries: Mapping[QueueState, float]
 
     def __post_init__(self):
-        for state, q in self.entries.items():
-            if not 0.0 <= q <= 1.0:
-                raise InvalidParameterError(f"probability {q} at {state} not in [0,1]")
-            if state.m == 1 and q != 1.0:
-                raise InvalidParameterError(
-                    f"profiles store q=1 at m=1 states by convention, got {q} at {state}"
-                )
+        object.__setattr__(self, "entries", _StateTable(self.entries))
+        q = self.entries._a
+        state = _first_state((q < 0.0) | (q > 1.0))
+        if state is not None:
+            raise InvalidParameterError(f"probability {self.entries[state]} at {state} not in [0,1]")
+        state = _first_state((np.arange(len(q))[:, None] == 1) & (q < 1.0))
+        if state is not None:
+            raise InvalidParameterError(
+                f"profiles store q=1 at m=1 states by convention, got {self.entries[state]} at {state}"
+            )
 
     def q(self, state: QueueState) -> float:
-        """Stored entry probability (default 1 at m = 1)."""
-        if state.m == 1 and state not in self.entries:
-            return 1.0
-        return self.entries[state]
+        """Stored entry probability (1 at m = 1, stored or not)."""
+        return 1.0 if state.m == 1 else self.entries[state]
 
     def min_empty_queue_prob(self, n: int) -> float:
         """Smallest q at states (m, 0) with 2 <= m <= n."""
-        qs = [self.q(QueueState(m, 0)) for m in range(2, n + 1)]
-        return min(qs, default=1.0)
+        return float(np.min(_dense_q(self, n)[2:, 0], initial=1.0))
 
     @classmethod
     def from_empty_queue_probs(cls, p: Iterable[float], n: int) -> "EntryProfile":
@@ -190,21 +252,20 @@ class EntryProfile:
         p[0] is ignored and p[1] is forced to 1.
         """
         p = list(p)
-        if len(p) < n + 1:
-            raise InvalidParameterError(f"need p[0..{n}], got length {len(p)}")
-        entries: Dict[QueueState, float] = {}
-        for state in enumerate_states(n):
-            if state.m == 1:
-                entries[state] = 1.0
-            elif state.k == 0:
-                entries[state] = float(p[state.m])
-            else:
-                entries[state] = 0.0
-        return cls(entries)
+        if n < 1 or len(p) < n + 1:
+            raise InvalidParameterError(f"need n >= 1 and p[0..{n}], got n={n}, length {len(p)}")
+        q = np.zeros((n + 1, n + 1))
+        q[2:, 0] = p[2 : n + 1]
+        q[1] = 1.0
+        if np.isnan(q).any():
+            raise InvalidParameterError(f"probability nan at {_first_state(np.isnan(q))} not in [0,1]")
+        return cls(_mask_off_game(q, 1))
 
     @classmethod
     def all_enter(cls, n: int) -> "EntryProfile":
-        return cls({state: 1.0 for state in enumerate_states(n)})
+        if n < 1:
+            raise InvalidParameterError(f"n must be >= 1, got {n}")
+        return cls(_mask_off_game(np.ones((n + 1, n + 1)), 1))
 
 
 def enumerate_states(n: int) -> List[QueueState]:
@@ -383,23 +444,19 @@ def _successor_values(values, m: int, k: int, top: int) -> np.ndarray:
     """Values at (m - i, k - 1 + i), i = 0..top: where (m, k) moves when i enter.
 
     This is the game's one transition.  ``values`` is a dense array indexed
-    [m, k] or a Mapping keyed by QueueState.  At k = 0 slot 0 is the
-    self-loop (nobody enters, so the game stays at (m, 0)); it reads 0 and
-    callers divide the loop out geometrically.
+    [m, k] or a Mapping keyed by QueueState; a lacking successor is an error.
+    At k = 0 slot 0 is the self-loop (nobody enters, so the game stays at
+    (m, 0)); it reads 0 and callers divide the loop out geometrically.
     """
     i = np.arange(top + 1)
-    rows, cols = m - i, k - 1 + i
-    if isinstance(values, np.ndarray):
-        out = values[rows, cols]
-    else:
-        out = np.array(
-            [
-                values[QueueState(r, c)] if c >= 0 else 0.0
-                for r, c in zip(rows.tolist(), cols.tolist())
-            ]
-        )
+    if not isinstance(values, np.ndarray):
+        values = _StateTable(values).dense(m + k)
+    out = values[m - i, k - 1 + i]
     if k == 0:
         out[0] = 0.0
+    if np.isnan(out).any():
+        j = int(np.argmax(np.isnan(out)))
+        raise InvalidParameterError(f"continuation has no value at {QueueState(m - j, k - 1 + j)}")
     return out
 
 
@@ -417,23 +474,6 @@ def _wait_cost(m: int, k: int, q, rows: np.ndarray, cont: np.ndarray):
     return (1.0 + rows[..., 1:] @ cont[1:]) / one_minus_pow(q, m - 1)
 
 
-_M_K = (operator.attrgetter("m"), operator.attrgetter("k"))
-
-
-def _dense_values(values: Mapping[QueueState, float], n: int) -> np.ndarray:
-    """``values`` as an (n+1) x (n+1) array indexed [m, k]: nan at every absent state.
-
-    Entries with m + k > n are ignored.
-    """
-    out = np.full((n + 1, n + 1), math.nan)
-    if values:
-        m, k = (np.fromiter(map(get, values), np.intp, len(values)) for get in _M_K)
-        vals = np.fromiter(values.values(), float, len(values))
-        keep = m + k <= n
-        out[m[keep], k[keep]] = vals[keep]
-    return out
-
-
 def _dense_q(profile: EntryProfile, n: int) -> np.ndarray:
     """The profile's entry probabilities on the states of G(n; w), indexed [m, k].
 
@@ -441,14 +481,12 @@ def _dense_q(profile: EntryProfile, n: int) -> np.ndarray:
     hold nan.  A state with m >= 2 and m + k <= n that the profile lacks is
     an error, never a default.
     """
-    q = _dense_values(profile.entries, n)
+    q = profile.entries.dense(n)
     q[1, np.isnan(q[1])] = 1.0
     m, k = np.arange(n + 1)[:, None], np.arange(n + 1)
-    missing = np.argwhere(np.isnan(q) & (m >= 2) & (m + k <= n))
-    if len(missing):
-        raise InvalidParameterError(
-            f"profile has no entry probability at {QueueState(*map(int, missing[0]))}"
-        )
+    state = _first_state(np.isnan(q) & (m >= 2) & (m + k <= n))
+    if state is not None:
+        raise InvalidParameterError(f"profile has no entry probability at {state}")
     return q
 
 
@@ -547,11 +585,9 @@ def total_cost_evaluate(
     ks = np.arange(n + 1)
     with np.errstate(over="ignore"):  # w*k(k-1)/2 is inf at huge w, as in float math
         t = ks[:, None] * v + w * ks * (ks - 1) / 2.0
-    values = {QueueState(0, k): c for k, c in enumerate(t[0].tolist())}
-    values.update(zip(enumerate_states(n), t[_state_index(n)].tolist()))
     total = float(t[n, 0])
     if not math.isfinite(total):
         raise NonTerminatingProfileError(
             "profile never enters at a reachable empty-queue state"
         )
-    return CostTable(CostRole.TOTAL_SOCIAL, values), total
+    return CostTable(CostRole.TOTAL_SOCIAL, _mask_off_game(t, 0)), total

@@ -46,7 +46,7 @@ from .model import (
     NonTerminatingProfileError,
     QueueState,
     _binom_row,
-    enumerate_states,
+    _dense_q,
     one_minus_pow,
 )
 
@@ -261,10 +261,8 @@ def simulate(
         raise InvalidParameterError(f"max_steps must be >= 0, got {max_steps}")
     n, w = params.n, params.w
     cap = int(min(max_steps, _GEOMETRIC_CEILING - 1 - n))
-    q = np.zeros((n + 1, n + 1))
-    for state in enumerate_states(n):
-        q[state.m, state.k] = profile.q(state)
-    cdfs = [_entrant_cdf(m, q[m, 0]) for m in range(n + 1)]
+    q = _dense_q(profile, n)
+    cdfs = [np.zeros(0)] + [_entrant_cdf(m, q[m, 0]) for m in range(1, n + 1)]
     totals = np.empty(trials)
     grid = np.empty((min(_BLOCK, trials), n))  # a block's entry steps, then its costs
     agent_sums = np.zeros(n)

@@ -125,6 +125,19 @@ class TestSolveState:
             solve_state(S(2, 0), 8.0, {S(1, 0): 0.0}, grid_points=grid, tol=tol)
 
 
+
+class TestSolveStateContinuation:
+    """A continuation Mapping is read through the table type: a lacking or nan
+    successor is bad input, not a KeyError or a solver inconsistency."""
+
+    def test_missing_successor_is_named(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=1, k=1\)"):
+            solve_state(S(3, 0), 5.0, {S(2, 0): 1.0})
+
+    def test_nan_continuation_rejected(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=1, k=1\)"):
+            solve_state(S(3, 0), 5.0, {S(2, 0): 1.0, S(1, 1): math.nan})
+
 class TestSolveEquilibrium:
     def test_two_player(self):
         sol = solve_equilibrium(GameParams(2, 8.0))

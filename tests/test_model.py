@@ -410,3 +410,100 @@ class TestMissingState:
         table, total = total_cost_evaluate(profile, GameParams(3, 1.5))
         assert total == pytest.approx(4.5, rel=1e-14)
         assert S(3, 1) not in table.values
+
+
+class TestNanValue:
+    """nan marks an absent state in a table, so a nan value is rejected."""
+
+    def test_cost_table(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=1, k=0\)"):
+            CostTable(CostRole.PER_OUTSIDE_PLAYER, {S(1, 0): math.nan})
+
+    def test_profile(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=0\)"):
+            EntryProfile({S(1, 0): 1.0, S(2, 0): math.nan})
+
+    def test_from_empty_queue_probs(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=0\)"):
+            EntryProfile.from_empty_queue_probs([0.0, 1.0, math.nan], 2)
+
+
+# every table the package builds iterates over row m = 0, then in
+# enumerate_states order
+ORDER3 = [S(1, 0), S(1, 1), S(2, 0), S(1, 2), S(2, 1), S(3, 0)]
+
+
+class TestStateTable:
+    """``EntryProfile.entries`` and ``CostTable.values`` behave as the dicts they replaced."""
+
+    def table(self):
+        values = {S(2, 0): 0.25, S(0, 1): 3.0, S(1, 0): 0.0, S(1, 1): 1.5, S(0, 0): 0.0}
+        return values, CostTable(CostRole.TOTAL_SOCIAL, values).values
+
+    def test_equals_its_dict(self):
+        values, table = self.table()
+        assert table == values and values == table
+        assert dict(table) == values
+        assert table != {**values, S(2, 0): 0.5}
+        assert table != {S(1, 0): 0.0}
+
+    def test_repr_is_the_dicts(self):
+        values, table = self.table()
+        assert repr(table) == repr({s: values[s] for s in table})
+        profile = solve_equilibrium(GameParams(4, 3.0)).profile
+        assert repr(profile.entries) == repr(dict(profile.entries))
+
+    def test_contains_and_len(self):
+        values, table = self.table()
+        assert len(table) == 5
+        assert all(s in table for s in values)
+        assert S(0, 2) not in table and S(2, 1) not in table and S(9, 9) not in table
+
+    def test_absent_and_out_of_range_states_raise_key_error(self):
+        _, table = self.table()
+        for state in (S(0, 2), S(2, 1), S(3, 0), S(0, 40), S(40, 0)):
+            with pytest.raises(KeyError):
+                table[state]
+        assert table.get(S(2, 1)) is None
+
+    def test_iteration_order(self):
+        _, table = self.table()
+        assert list(table) == [S(0, 0), S(0, 1), S(1, 0), S(1, 1), S(2, 0)]
+        assert list(EntryProfile({s: 1.0 for s in reversed(ORDER3)}).entries) == ORDER3
+
+    def test_array_is_read_only(self):
+        _, table = self.table()
+        with pytest.raises(ValueError):
+            table._a[1, 0] = 5.0
+        q = np.ones((3, 3))
+        profile = EntryProfile(model._mask_off_game(q, 1))
+        assert profile.entries._a is q and not q.flags.writeable
+        assert EntryProfile(profile.entries).entries._a is q
+
+    def test_dense(self):
+        _, table = self.table()
+        for n in (1, 2, 3):
+            d = table.dense(n)
+            assert d.shape == (n + 1, n + 1) and d.flags.writeable
+            m, k = np.indices(d.shape)
+            assert np.isnan(d[m + k > n]).all()
+            for s in enumerate_states(n) + [S(0, k) for k in range(n + 1)]:
+                assert (d[s.m, s.k] == table[s]) if s in table else np.isnan(d[s.m, s.k])
+        d[0, 0] = 7.0  # a copy
+        assert table[S(0, 0)] == 0.0
+
+    def test_profile_round_trips_through_dict(self):
+        p = solve_equilibrium(GameParams(6, 3.0)).profile
+        assert EntryProfile(dict(p.entries)) == p
+
+    def test_key_order_of_every_builder(self):
+        params = GameParams(3, 3.0)
+        eq = solve_equilibrium(params)
+        assert list(eq.profile.entries) == ORDER3
+        assert list(eq.per_player.values) == ORDER3
+        assert list(eq.diagnostics) == ORDER3
+        row0 = [S(0, 0), S(0, 1), S(0, 2), S(0, 3)]
+        assert list(total_cost_evaluate(eq.profile, params)[0].values) == row0 + ORDER3
+        assert list(profile_cost_table(eq.profile, params).values) == ORDER3
+        assert list(EntryProfile.from_empty_queue_probs([0.0, 1.0, 0.5, 0.4], 3).entries) == ORDER3
+        assert list(EntryProfile.all_enter(3).entries) == ORDER3

@@ -288,3 +288,19 @@ class TestPositionCosts:
         assert truncated and steps == 1
         assert total == 4.0
         assert sorted(per_agent.tolist()) == [0.0, 2.0, 2.0]
+
+
+class TestProfileLackingAState:
+    """A profile that lacks a state of the game is rejected, naming the state."""
+
+    LACKING = EntryProfile({S(2, 0): 0.5, S(1, 0): 1.0, S(1, 1): 1.0})  # at n = 3
+
+    @pytest.mark.parametrize("max_steps", [None, 100])
+    def test_simulate(self, max_steps):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            simulate(self.LACKING, GameParams(3, 5.0), 10, seed=0, max_steps=max_steps)
+
+    def test_min_empty_queue_prob(self):
+        with pytest.raises(InvalidParameterError, match=r"QueueState\(m=2, k=1\)"):
+            self.LACKING.min_empty_queue_prob(3)
+        assert self.LACKING.min_empty_queue_prob(2) == 0.5
