@@ -22,14 +22,15 @@ Backward induction visits states m-major (m ascending, then k ascending):
 (m, k) needs only (m, k-1) and states with fewer agents outside.  So each
 m-row gathers the successors (m-i, k-1+i), i >= 1, of all its states at
 once, with their row maxima, and a scalar loop over k carries cost(m, k-1).
-It settles a certified state with the per-state test, max(cont) being
-max(cost(m, k-1), row maximum), and only a state that fails it gets a
-continuation vector and a scan.  All k >= 1 states share one scan grid,
-built once per solve, and its binomial matrix is built once per m.  Solved
-costs live in a dense (n+1) x (n+1) array.  A scalar probe (the k = 0
-endpoint search and every bisection step) writes its pmf row into per-m
-buffers (``model._PmfRow``) and computes the wait and enter costs inline,
-returning the gap and the enter cost from one evaluation.
+It settles a certified state with the per-state test
+(``_certifies_no_entry``), max(cont) being max(cost(m, k-1), row maximum),
+and only a state that fails it gets a continuation vector and a scan.  All
+k >= 1 states share one scan grid, built once per solve, and its binomial
+matrix (``model._Pmf.rows``) is built once per m.  Solved costs live in a
+dense (n+1) x (n+1) array.  A scalar probe (the k = 0 endpoint search and
+every bisection step) takes its pmf row from a per-m ``model._Pmf`` and
+computes the wait and enter costs inline, returning the gap and the enter
+cost from one evaluation.
 
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 a state with m + k <= n solves the same, bit for bit, in every G(N; w) with
@@ -53,18 +54,16 @@ from .model import (
     GameParams,
     InvalidParameterError,
     QueueState,
-    _binom_matrix,
-    _binom_row,
     _check_solver_settings,
     _decision_states,
     _dense_q,
     _mask_off_game,
-    _PmfRow,
+    _Pmf,
     _profile_costs,
-    _state_index,
+    _states,
     _successor_values,
+    _successors,
     _wait_cost,
-    enumerate_states,
 )
 
 __all__ = [
@@ -130,14 +129,14 @@ class _BinomRows:
     def __init__(self, m: int, grid_points: int, upper_grid: np.ndarray):
         self.m = m
         self.grid_points = grid_points
-        self.row = _PmfRow(m - 1)
+        self.pmf = _Pmf(m - 1)
         self._upper_grid = upper_grid
         self._scan = None
 
     def scan(self) -> Tuple[np.ndarray, np.ndarray]:
         """The k >= 1 scan grid and its pmf matrix, built on first use."""
         if self._scan is None:
-            self._scan = self._upper_grid, _binom_matrix(self.m - 1, self._upper_grid)
+            self._scan = self._upper_grid, self.pmf.rows(self._upper_grid)
         return self._scan
 
 
@@ -151,34 +150,24 @@ class _GapEvaluator:
         self._half = (rows.m - 1) / 2.0
         self._kw = k * w
         self._tail = cont[1:]
-        pmf = rows.row
-        self._i, self._rest, self._logc = pmf._i, pmf._rest, pmf._logc
-        self._row, self._tmp = pmf._row, pmf._tmp
+        self._pmf = rows.pmf
 
     def enter(self, qs: np.ndarray) -> np.ndarray:
         return self._half * qs * self.w + self._kw
 
     def gap(self, qs: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Gap at every q of ``qs``, given B = _binom_matrix(m-1, qs)."""
+        """Gap at every q of ``qs``, given their pmf(m-1, ., q) rows B."""
         return self.enter(qs) - _wait_cost(self.m, self.k, qs, B, self.cont)
 
     def probe(self, q: float) -> Tuple[float, float]:
         """(gap, enter cost) at one q, from one pmf row.
 
-        ``enter``, ``_PmfRow.__call__``, ``_wait_cost`` and ``one_minus_pow``
-        written out for a scalar q: the same operations in the same order,
-        so bit-identical to them.  The row goes into the ``_PmfRow``'s buffers.
+        ``enter``, ``_wait_cost`` and ``one_minus_pow`` written out for a
+        scalar q: the same operations in the same order, so bit-identical to
+        them.  The row is the ``_Pmf``'s scalar row, in its buffer.
         """
         enter = self._half * q * self.w + self._kw
-        if 0.0 < q < 1.0:
-            row, tmp = self._row, self._tmp
-            np.multiply(self._i, math.log(q), row)
-            np.add(self._logc, row, row)
-            np.multiply(self._rest, math.log1p(-q), tmp)
-            np.add(row, tmp, row)
-            np.exp(row, row)
-        else:
-            row = _binom_row(self.m - 1, q)
+        row = self._pmf(q)
         if self.k >= 1:
             return float(enter - (1.0 + row.dot(self.cont))), enter
         stay = 1.0 + row[1:].dot(self._tail)
@@ -186,12 +175,13 @@ class _GapEvaluator:
         return float(enter - stay / leave), enter
 
 
-def _certifies_no_entry(k: int, w: float, cont: np.ndarray) -> bool:
+def _certifies_no_entry(k: int, w: float, cont_max: float) -> bool:
     """True when nobody enters at (m, k) for any peer entry probability.
 
-    At k >= 1 entering costs at least k*w and waiting at most 1 + max(cont).
+    At k >= 1 entering costs at least k*w and waiting at most 1 + cont_max,
+    cont_max being the largest continuation cost.
     """
-    return k >= 1 and k * w > (1.0 + float(cont.max())) * (1.0 + _CERT_MARGIN)
+    return k >= 1 and k * w > (1.0 + cont_max) * (1.0 + _CERT_MARGIN)
 
 
 def _bisect(ev: _GapEvaluator, a: float, b: float, fa: float, fb: float, tol: float):
@@ -243,7 +233,7 @@ def _scan_state(
             lo *= 0.5
             flo = ev.probe(lo)[0]
         grid = _scan_grid(k, lo, rows.grid_points)
-        gaps = ev.gap(grid, _binom_matrix(m - 1, grid))
+        gaps = ev.gap(grid, rows.pmf.rows(grid))
     else:
         grid, B = rows.scan()
         gaps = ev.gap(grid, B)
@@ -290,8 +280,8 @@ def solve_state(
     if m < 2:
         raise InvalidParameterError(f"solve_state needs m >= 2, got {state}")
     _check_solver_settings(grid_points, tol)
-    cont = _successor_values(continuation, m, k, m - 1)
-    if _certifies_no_entry(k, w, cont):
+    cont = _successor_values(continuation, m, k)
+    if _certifies_no_entry(k, w, float(cont.max())):
         return 0.0, 1.0 + float(cont[0]), 0
     rows = _BinomRows(m, grid_points, _scan_grid(1, _SCAN_LO, grid_points))
     q, c, count, _ = _scan_state(rows, k, w, cont, policy, tol)
@@ -318,21 +308,19 @@ def solve_equilibrium(
     cost[1] = np.arange(n + 1)
     roots, residual = np.zeros((n + 1, n + 1), dtype=int), np.zeros((n + 1, n + 1))
     upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
-    cert = 1.0 + _CERT_MARGIN
     for m in range(2, n + 1):
         rows = _BinomRows(m, grid_points, upper_grid)
-        ks, i = np.arange(n - m + 1), np.arange(1, m)
+        ks = np.arange(n - m + 1)
         # conts[k] is the continuation of (m, k), gathered for the whole row
-        # at once: slots i >= 1 hold (m-i, k-1+i), in rows already solved;
+        # at once: slots i >= 1 hold the successors, in rows already solved;
         # slot 0 holds (m, k-1) and is filled just before (m, k) is scanned
         conts = np.empty((len(ks), m))
-        conts[:, 1:] = cost[m - i, ks[:, None] - 1 + i]
+        conts[:, 1:] = _successors(cost, m, ks)
         tail_max = conts[:, 1:].max(axis=1).tolist()
         prev = 0.0  # cost(m, k-1); slot 0 is the divided-out self-loop at k = 0
         results = []
         for k in ks.tolist():
-            # _certifies_no_entry with cont.max() = max(prev, tail_max[k])
-            if k >= 1 and k * w > (1.0 + max(prev, tail_max[k])) * cert:
+            if _certifies_no_entry(k, w, max(prev, tail_max[k])):
                 result = (0.0, 1.0 + prev, 0, 0.0)
             else:
                 cont = conts[k]
@@ -342,14 +330,14 @@ def solve_equilibrium(
             results.append(result)
         row = np.s_[m, : len(ks)]
         q[row], cost[row], roots[row], residual[row] = zip(*results)
-    states = _state_index(n)
-    diagnostics = map(StateDiagnostics, roots[states].tolist(), residual[states].tolist())
+    states, ms, ks = _states(n)
+    diagnostics = map(StateDiagnostics, roots[ms, ks].tolist(), residual[ms, ks].tolist())
     return EquilibriumSolution(
         params=params,
         profile=EntryProfile(_mask_off_game(q, 1)),
         per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, _mask_off_game(cost, 1)),
         policy=policy,
-        diagnostics=dict(zip(enumerate_states(n), diagnostics)),
+        diagnostics=dict(zip(states, diagnostics)),
     )
 
 
@@ -484,10 +472,9 @@ def verify_equilibrium(
     n, w = solution.params.n, solution.params.w
     extra: List[StateCheck] = []
     if w > 2.0:
-        ms, ks = _state_index(n)
+        states, ms, ks = _states(n)
         floor = ms + ks - 1
         cost = solution.per_player.values.dense(n)[ms, ks]
-        states = enumerate_states(n)
         for j in np.flatnonzero(cost < floor - tol * np.maximum(1.0, floor)).tolist():
             state, c = states[j], float(cost[j])
             extra.append(

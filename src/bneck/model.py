@@ -21,8 +21,9 @@ Cost conventions used throughout:
   value, so the convention is cost-neutral.
 
 Every cost is a recursion over one transition: from (m, k), i agents enter
-with Binomial odds and the game moves to (m-i, k+i-1).  ``_successor_values``
-holds that index arithmetic.  Per-state values live in dense (n+1) x (n+1)
+with Binomial odds and the game moves to (m-i, k+i-1).  ``_successors``
+holds that index arithmetic and ``_Pmf`` the binomial: it is the package's
+only pmf code.  Per-state values live in dense (n+1) x (n+1)
 arrays indexed [m, k]; every per-state table is one behind the Mapping type
 ``_StateTable``, nan marking an absent state.  Recursions visit states m-major
 (m ascending, then k ascending: (m, k) needs (m, k-1) and fewer agents out).
@@ -35,9 +36,9 @@ T(m, k) = m*v(m, k) + w*k*(k-1)/2.
 
 The pass works on dense rows.  The profile's q is read into an (n+1) x
 (n+1) array once (``_dense_q``, which rejects a profile lacking a state).
-For each m-row, one ``_binom_matrix`` holds the pmf rows of the states with
-q > 0, one fancy index gathers their successors (m-i, k-1+i), i >= 1, from
-rows already priced, and their weighted sums give each state's waiting cost
+For each m-row, one ``_Pmf.rows`` matrix holds the pmf rows of the states
+with q > 0, one ``_successors`` gather takes their successors from rows
+already priced, and their weighted sums give each state's waiting cost
 as base(k) + slope(k)*v(m, k-1), slope being the weight of slot 0.  That
 leaves v(m, k) = q*c1 + (1-q)*(base + slope*v(m, k-1)): a scalar affine
 recurrence along the row, which one plain loop over k carries (at q = 0 it
@@ -50,7 +51,6 @@ seen 5.2e-15 and 1.3e-14, at G(150; 3)), with the same +inf states.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -166,7 +166,8 @@ class _StateTable(Mapping):
     def __iter__(self) -> Iterator[QueueState]:
         a, n = self._a, len(self._a) - 1
         yield from map(QueueState, itertools.repeat(0), np.flatnonzero(~np.isnan(a[0])).tolist())
-        yield from itertools.compress(_states(n), (~np.isnan(a[_state_index(n)])).tolist())
+        states, m, k = _states(n)
+        yield from itertools.compress(states, (~np.isnan(a[m, k])).tolist())
 
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self._a)))
@@ -278,13 +279,35 @@ def enumerate_states(n: int) -> List[QueueState]:
     """
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
-    return list(_states(n))
+    return list(_states(n)[0])
 
 
-@functools.lru_cache(maxsize=1)
-def _states(n: int) -> Tuple[QueueState, ...]:
-    """``enumerate_states(n)`` for the last n: a report asks several times."""
-    return tuple(QueueState(m, t - m) for t in range(1, n + 1) for m in range(1, t + 1))
+_state_cache: Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray] = (
+    (),
+    np.zeros(0, np.intp),
+    np.zeros(0, np.intp),
+)
+
+
+def _states(n: int) -> Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray]:
+    """``enumerate_states(n)`` as a tuple, and its m and k as read-only arrays.
+
+    A report asks for the states several times, and a sweep alternates game
+    sizes.  The order is prefix-stable: the states of G(n) are the first
+    n(n+1)/2 of any larger game's.  So one cache, at the largest n asked
+    for, serves every n.
+    """
+    global _state_cache
+    size = n * (n + 1) // 2
+    if len(_state_cache[0]) < size:
+        t = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
+        m = np.arange(size) - t * (t - 1) // 2 + 1
+        k = t - m
+        for a in (m, k):
+            a.flags.writeable = False
+        _state_cache = tuple(map(QueueState, m.tolist(), k.tolist())), m, k
+    states, m, k = _state_cache
+    return states[:size], m[:size], k[:size]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +330,7 @@ def binom_pmf(m: int, i: int, q: float) -> float:
     """C(m,i) * q^i * (1-q)^(m-i), finite and non-negative for extreme inputs.
 
     The i = 0 term is the exact power (1-q)^m; every other term is read
-    from ``_binom_row``, the log-space row the solvers use.
+    from the scalar pmf row of ``_Pmf``, the solvers' binomial.
     """
     if m < 0 or i < 0 or i > m:
         raise InvalidParameterError(f"need 0 <= i <= m, got m={m}, i={i}")
@@ -315,60 +338,66 @@ def binom_pmf(m: int, i: int, q: float) -> float:
         raise InvalidParameterError(f"q must be in [0,1], got {q}")
     if i == 0:
         return (1.0 - q) ** m
-    return float(_binom_row(m, q)[i])
+    return float(_Pmf(m)(q)[i])
 
 
-def _binom_consts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """i, m - i and log C(m, i) for i = 0..m: the q-free part of a pmf row."""
-    lf = _logfact(m)
-    i = np.arange(m + 1)
-    return i, m - i, lf[m] - lf[i] - lf[m - i]
+class _Pmf:
+    """Binomial(m, q) pmf over i = 0..m in log space: the package's only pmf code.
 
-
-def _binom_row(m: int, q: float) -> np.ndarray:
-    """pmf over i = 0..m at a single q, log-space (internal fast path).
-
-    Loops over q at one m use ``_PmfRow``, which gives the same rows.
-    """
-    if q <= 0.0 or q >= 1.0:
-        row = np.zeros(m + 1)
-        row[m if q >= 1.0 else 0] = 1.0
-        return row
-    i, rest, logc = _binom_consts(m)
-    return np.exp(logc + i * math.log(q) + rest * math.log1p(-q))
-
-
-class _PmfRow:
-    """``_binom_row(m, q)`` for many q: constants and output hoisted out of the loop.
-
-    Interior rows take the same operations in the same order as
-    ``_binom_row``, so they are bit-identical to it.  Each call overwrites
-    the row the previous call returned.  ``_i``, ``_rest`` and ``_logc``
-    are the read-only q-free constants of ``_binom_consts``, as floats, and
-    ``_row`` and ``_tmp`` the buffers: the equilibrium's gap probe and the
-    optimum's stage grid read them directly.
+    ``log_into`` computes log C(m, i) + i*log q + (m-i)*log(1-q) from the
+    read-only float constants ``_logc``, ``_i`` and ``_rest``.  A row
+    (``__call__``) takes its logs from ``math.log``/``math.log1p`` and a
+    matrix (``rows``) from ``np.log``/``np.log1p``.  The two families
+    disagree in the last bit on some inputs, so a row and the matching
+    matrix row need not be equal, and each caller keeps to one of them.
     """
 
     def __init__(self, m: int):
         self.m = m
-        i, rest, logc = _binom_consts(m)
-        self._i, self._rest, self._logc = i.astype(float), rest.astype(float), logc
+        lf = _logfact(m)
+        i = np.arange(m + 1)
+        self._i, self._rest = i.astype(float), (m - i).astype(float)
+        self._logc = lf[m] - lf[i] - lf[m - i]
         for a in (self._i, self._rest, self._logc):
             a.flags.writeable = False
         self._row = np.empty(m + 1)
         self._tmp = np.empty(m + 1)
 
-    def __call__(self, q: float) -> np.ndarray:
-        if q <= 0.0 or q >= 1.0:
-            return _binom_row(self.m, q)
-        row, tmp = self._row, self._tmp
+    def log_into(self, lq, l1q, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+        """The log-pmf into ``out``, using ``tmp``.
+
+        ``lq`` and ``l1q`` are log q and log(1-q): floats for one row, or
+        columns of them for a matrix with one row per q.
+        """
         # outputs passed positionally: out= keyword parsing costs more than the
         # arithmetic on a short row
-        np.multiply(self._i, math.log(q), row)
-        np.add(self._logc, row, row)
-        np.multiply(self._rest, math.log1p(-q), tmp)
-        np.add(row, tmp, row)
-        return np.exp(row, row)
+        np.multiply(self._i, lq, out)
+        np.add(self._logc, out, out)
+        np.multiply(self._rest, l1q, tmp)
+        return np.add(out, tmp, out)
+
+    def __call__(self, q: float) -> np.ndarray:
+        """The pmf row at q, in a buffer that the next call overwrites."""
+        row = self._row
+        if q <= 0.0 or q >= 1.0:
+            row.fill(0.0)
+            row[self.m if q >= 1.0 else 0] = 1.0
+            return row
+        return np.exp(self.log_into(math.log(q), math.log1p(-q), row, self._tmp), row)
+
+    def rows(self, qs) -> np.ndarray:
+        """A fresh matrix of pmf rows, one per q of ``qs``; shape (len(qs), m+1)."""
+        qs = np.asarray(qs, dtype=float)
+        interior = (qs > 0.0) & (qs < 1.0)
+        safe = np.where(interior, qs, 0.5)
+        with np.errstate(divide="ignore"):
+            lq, l1q = np.log(safe)[:, None], np.log1p(-safe)[:, None]
+        logv, out = np.empty((len(qs), self.m + 1)), np.empty((len(qs), self.m + 1))
+        out = _exp_into(self.log_into(lq, l1q, logv, out), out)
+        if not interior.all():
+            out[qs <= 0.0] = np.eye(self.m + 1)[0]
+            out[qs >= 1.0] = np.eye(self.m + 1)[self.m]
+        return out
 
 
 # np.exp(x) is 0 below about -745.13 (e^x < 2^-1075 rounds to 0), and numpy
@@ -388,25 +417,6 @@ def _exp_into(logv: np.ndarray, out: np.ndarray) -> np.ndarray:
         return np.exp(logv, out)
     out.fill(0.0)
     return np.exp(logv, out, where=keep)
-
-
-def _binom_matrix(m: int, qs: np.ndarray) -> np.ndarray:
-    """pmf rows for every q in qs; shape (len(qs), m+1)."""
-    qs = np.asarray(qs, dtype=float)
-    i, rest, logc = _binom_consts(m)
-    interior = (qs > 0.0) & (qs < 1.0)
-    safe = np.where(interior, qs, 0.5)
-    with np.errstate(divide="ignore"):
-        logv = (
-            logc[None, :]
-            + i[None, :] * np.log(safe)[:, None]
-            + rest[None, :] * np.log1p(-safe)[:, None]
-        )
-    out = _exp_into(logv, np.empty_like(logv))
-    if not interior.all():
-        out[qs <= 0.0] = np.eye(m + 1)[0]
-        out[qs >= 1.0] = np.eye(m + 1)[m]
-    return out
 
 
 def one_minus_pow(q, e: int):
@@ -440,23 +450,38 @@ def cost_enter(state: QueueState, q: float, w: float) -> float:
     return (state.m - 1) / 2.0 * q * w + state.k * w
 
 
-def _successor_values(values, m: int, k: int, top: int) -> np.ndarray:
-    """Values at (m - i, k - 1 + i), i = 0..top: where (m, k) moves when i enter.
+def _successors(values: np.ndarray, m: int, ks: np.ndarray) -> np.ndarray:
+    """The (len(ks), m-1) block of ``values`` at (m - i, k - 1 + i), i = 1..m-1, per k of ``ks``.
 
-    This is the game's one transition.  ``values`` is a dense array indexed
-    [m, k] or a Mapping keyed by QueueState; a lacking successor is an error.
-    At k = 0 slot 0 is the self-loop (nobody enters, so the game stays at
-    (m, 0)); it reads 0 and callers divide the loop out geometrically.
+    This is the game's one transition: i agents enter and the head of the
+    queue is served.  ``values`` is a dense array indexed [m, k].
     """
-    i = np.arange(top + 1)
+    i = np.arange(1, m)
+    return values[m - i, ks[:, None] - 1 + i]
+
+
+def _successor_values(values, m: int, k: int) -> np.ndarray:
+    """Values where (m, k) moves when i of the m - 1 peers enter, i = 0..m-1.
+
+    Slot 0 is (m, k-1) and slots i >= 1 are ``_successors``.  ``values`` is
+    a dense array indexed [m, k] or a Mapping keyed by QueueState; a lacking
+    successor is an error.  At k = 0 slot 0 is the self-loop (nobody
+    enters, so the game stays at (m, 0)); it reads 0 and callers divide the
+    loop out geometrically.
+    """
     if not isinstance(values, np.ndarray):
         values = _StateTable(values).dense(m + k)
-    out = values[m - i, k - 1 + i]
-    if k == 0:
-        out[0] = 0.0
-    if np.isnan(out).any():
-        j = int(np.argmax(np.isnan(out)))
-        raise InvalidParameterError(f"continuation has no value at {QueueState(m - j, k - 1 + j)}")
+
+    def gather(a: np.ndarray) -> np.ndarray:
+        return np.concatenate(([a[m, k - 1] if k else 0], _successors(a, m, np.array([k]))[0]))
+
+    out = gather(values)
+    lacking = np.isnan(out)
+    if lacking.any():
+        # the same gather over the cell numbers names the first lacking state
+        cell = int(gather(np.arange(values.size).reshape(values.shape))[np.argmax(lacking)])
+        state = QueueState(*divmod(cell, len(values)))
+        raise InvalidParameterError(f"continuation has no value at {state}")
     return out
 
 
@@ -490,22 +515,11 @@ def _dense_q(profile: EntryProfile, n: int) -> np.ndarray:
     return q
 
 
-@functools.lru_cache(maxsize=1)
-def _state_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """m and k of ``enumerate_states(n)``, in its order, as read-only arrays."""
-    t = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
-    m = np.arange(len(t)) - t * (t - 1) // 2 + 1
-    k = t - m
-    for a in (m, k):
-        a.flags.writeable = False
-    return m, k
-
-
 def _decision_states(n: int) -> Tuple[List[QueueState], np.ndarray, np.ndarray]:
     """The states of ``enumerate_states(n)`` with m >= 2, in its order, and their m and k."""
-    m, k = _state_index(n)
+    states, m, k = _states(n)
     keep = m >= 2
-    return list(itertools.compress(_states(n), keep.tolist())), m[keep], k[keep]
+    return list(itertools.compress(states, keep.tolist())), m[keep], k[keep]
 
 
 def _profile_costs(q: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -537,12 +551,11 @@ def _profile_costs(q: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
         base, slope = np.ones(size), np.ones(size)
         pos = np.flatnonzero(qs > 0.0)
         if len(pos):
-            rows = _binom_matrix(m - 1, qs[pos])
-            i = np.arange(1, m)
+            rows = _Pmf(m - 1).rows(qs[pos])
             weights = rows[:, 1:]
             # zero weights are skipped: 0 * inf at never-ending successors
             terms = np.multiply(
-                weights, v[m - i, pos[:, None] - 1 + i], np.zeros_like(weights), where=weights > 0.0
+                weights, _successors(v, m, pos), np.zeros_like(weights), where=weights > 0.0
             )
             base[pos] += terms.sum(axis=1)
             slope[pos] = rows[:, 0]

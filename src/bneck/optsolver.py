@@ -14,14 +14,14 @@ class of profiles.
 
 Each stage builds its p-free increments w*i(i-1)/2 + i(m-i) + OPT(m-i)
 once; the grid scan and every golden-section probe share them.  A probe
-(``_StageCost``, also behind ``opt_stage_cost``) reads its pmf row through
-``model._PmfRow`` and sums the terms sequentially with np.add.accumulate,
-so it is bit-identical to a scalar loop over i.  The grid scan evaluates
-its grid_points x (m+1) pmf matrix in row blocks of about 2^15 doubles,
-which stay in L2 cache, in one pair of buffers per solve and from the
-stage probe's binomial constants; a grid that fits in one block is one
-block.  Block heights are multiples of 8 rows, at which the blocked gemv
-gave every grid value bit-identical to the full matrix's.
+(``_StageCost``, also behind ``opt_stage_cost``) reads its pmf row from a
+``model._Pmf`` and sums the terms sequentially with np.add.accumulate, so
+it is bit-identical to a scalar loop over i.  The grid scan evaluates its
+grid_points x (m+1) pmf matrix with the same ``_Pmf``'s ``log_into``, in
+row blocks of about 2^15 doubles, which stay in L2 cache, in one pair of
+buffers per solve; a grid that fits in one block is one block.  Block
+heights are multiples of 8 rows, at which the blocked gemv gave every grid
+value bit-identical to the full matrix's.
 
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 p[:n+1] and opt[:n+1] are the same, bit for bit, in every G(N; w) with
@@ -42,7 +42,7 @@ from .model import (
     InvalidParameterError,
     _check_solver_settings,
     _exp_into,
-    _PmfRow,
+    _Pmf,
     one_minus_pow,
 )
 
@@ -110,7 +110,7 @@ def _stage_increments(m: int, w: float, opt_prefix: Sequence[float]) -> np.ndarr
 class _StageCost:
     """Stage-m cost at one p in (0, 1] against fixed increments a_1..a_m.
 
-    The pmf row comes from ``_PmfRow`` and the increments are built once
+    The pmf row comes from ``_Pmf`` and the increments are built once
     per stage.  The sum over i runs in order (``np.add.accumulate``), so
     every probe is bit-identical to a scalar loop over i that skips terms
     with a zero pmf weight.
@@ -119,7 +119,7 @@ class _StageCost:
     def __init__(self, m: int, inc: np.ndarray):
         self.m = m
         self.inc = inc
-        self._pmf = _PmfRow(m)
+        self._pmf = _Pmf(m)
         self._terms = np.empty(m)
 
     def __call__(self, p: float) -> float:
@@ -135,10 +135,9 @@ class _StageCost:
 def _stage_cost_grid(stage: _StageCost, ps: np.ndarray, bufs: np.ndarray) -> np.ndarray:
     """Stage cost at every p of ``ps`` (all in (0, 1]), one row block at a time.
 
-    A block's pmf rows take the operations of ``_binom_matrix`` in the same
-    order, from the q-free constants of the stage's ``_PmfRow``, and are
-    written into ``bufs``, a (2, size) buffer shared by all stages of a
-    solve.  A block holds a multiple of ``_BLOCK_ROWS`` rows and about
+    A block's pmf rows are those of ``_Pmf.rows``, from the stage's
+    ``_Pmf``, written into ``bufs``, a (2, size) buffer shared by all stages
+    of a solve.  A block holds a multiple of ``_BLOCK_ROWS`` rows and about
     ``_BLOCK`` doubles, so it stays in L2 cache; a grid that fits in one
     block is one block.
     """
@@ -153,11 +152,7 @@ def _stage_cost_grid(stage: _StageCost, ps: np.ndarray, bufs: np.ndarray) -> np.
     for r0 in range(0, len(ps), height):
         r1 = min(r0 + height, len(ps))
         logv, B = (b[: (r1 - r0) * (m + 1)].reshape(r1 - r0, m + 1) for b in bufs)
-        np.multiply(pmf._i, lq[r0:r1], logv)
-        np.add(pmf._logc, logv, logv)
-        np.multiply(pmf._rest, l1q[r0:r1], B)
-        np.add(logv, B, logv)
-        _exp_into(logv, B)
+        _exp_into(pmf.log_into(lq[r0:r1], l1q[r0:r1], logv, B), B)
         full = ~interior[r0:r1]  # p = 1: all m enter
         B[full] = 0.0
         B[full, m] = 1.0

@@ -45,8 +45,8 @@ from .model import (
     InvalidParameterError,
     NonTerminatingProfileError,
     QueueState,
-    _binom_row,
     _dense_q,
+    _Pmf,
     one_minus_pow,
 )
 
@@ -94,7 +94,7 @@ def default_step_cap(profile: EntryProfile, params: GameParams) -> int:
 
 def _entrant_cdf(m: int, q: float) -> np.ndarray:
     """Unnormalised CDF of the entrant count i = 1..m at (m, 0), given i >= 1."""
-    return np.cumsum(_binom_row(m, q)[1:])
+    return np.cumsum(_Pmf(m)(q)[1:])
 
 
 def _entrants_given_some(cdf: np.ndarray, u, m: int):

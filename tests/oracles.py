@@ -31,9 +31,8 @@ from bneck.model import (
     GameParams,
     InvalidParameterError,
     QueueState,
-    _binom_consts,
-    _binom_row,
-    _PmfRow,
+    _logfact,
+    _Pmf,
     _successor_values,
     _wait_cost,
     cost_enter,
@@ -192,12 +191,26 @@ def fifo_replay(entry_steps: Sequence[int], n: int, w: float, end: int) -> List[
 # ---------------------------------------------------------------------------
 # Reference implementations on the package's own arithmetic
 #
-# Unlike the oracles above, these call the package's log-space pmf row
-# (``_binom_row``) and solver internals on purpose: they are the scalar,
+# Unlike the oracles above, these use the package's log-space pmf arithmetic
+# (``binom_row_plain``) and solver internals on purpose: they are the scalar,
 # per-state and unblocked paths the solvers' kernels replaced, kept so tests
 # can demand bit-identity (==) with them.  cost_wait, indifference_gap,
 # step_cost_total and prob_vanishing_trend were public package functions
 # that only tests used.
+
+
+def binom_row_plain(m: int, q: float) -> np.ndarray:
+    """The log-space pmf row over i = 0..m at one q, as one expression (frozen).
+
+    ``model._Pmf(m)(q)`` must equal it bit for bit.
+    """
+    if q <= 0.0 or q >= 1.0:
+        row = np.zeros(m + 1)
+        row[m if q >= 1.0 else 0] = 1.0
+        return row
+    lf, i = _logfact(m), np.arange(m + 1)
+    logc = lf[m] - lf[i] - lf[m - i]
+    return np.exp(logc + i * math.log(q) + (m - i) * math.log1p(-q))
 
 
 def cost_wait(
@@ -225,8 +238,8 @@ def cost_wait(
             raise DivergentCostError(
                 f"waiting cost at {state} diverges when nobody ever enters"
             )
-    cont = _successor_values(continuation, m, k, m - 1)
-    return _wait_cost(m, k, q, _binom_row(m - 1, q), cont)
+    cont = _successor_values(continuation, m, k)
+    return _wait_cost(m, k, q, binom_row_plain(m - 1, q), cont)
 
 
 def indifference_gap(
@@ -273,7 +286,7 @@ def opt_stage_cost_loop(m: int, p: float, w: float, opt_prefix: Sequence[float])
 
     ``optsolver.opt_stage_cost`` must equal this bit for bit.
     """
-    row = _binom_row(m, p)
+    row = binom_row_plain(m, p)
     acc = 0.0
     for i in range(1, m + 1):
         if row[i] > 0.0:
@@ -301,8 +314,8 @@ def solve_equilibrium_per_state(
     for m in range(2, n + 1):
         rows = eqsolver._BinomRows(m, grid_points, upper_grid)
         for k in range(n - m + 1):
-            cont = _successor_values(cost, m, k, m - 1)
-            if eqsolver._certifies_no_entry(k, w, cont):
+            cont = _successor_values(cost, m, k)
+            if eqsolver._certifies_no_entry(k, w, float(cont.max())):
                 result = (0.0, 1.0 + float(cont[0]), 0, 0.0)
             else:
                 result = eqsolver._scan_state(rows, k, w, cont, policy, tol)
@@ -326,9 +339,10 @@ def solve_equilibrium_per_state(
 
 
 def binom_matrix_plain(m: int, qs: np.ndarray) -> np.ndarray:
-    """``model._binom_matrix`` with one np.exp over the whole matrix (frozen)."""
+    """``model._Pmf(m).rows(qs)`` with one np.exp over the whole matrix (frozen)."""
     qs = np.asarray(qs, dtype=float)
-    i, rest, logc = _binom_consts(m)
+    lf, i = _logfact(m), np.arange(m + 1)
+    rest, logc = m - i, lf[m] - lf[i] - lf[m - i]
     interior = (qs > 0.0) & (qs < 1.0)
     safe = np.where(interior, qs, 0.5)
     with np.errstate(divide="ignore"):
@@ -398,7 +412,7 @@ def profile_costs_per_state(
     v[1] = np.arange(n + 1)
     wait = np.zeros((n + 1, n + 1))
     for m in range(2, n + 1):
-        pmf = _PmfRow(m - 1)
+        pmf = _Pmf(m - 1)
         for k in range(n - m + 1):
             state = QueueState(m, k)
             q = profile.q(state)
@@ -407,7 +421,7 @@ def profile_costs_per_state(
                 continue
             c1 = cost_enter(state, q, w)
             row = pmf(q)
-            cont = _successor_values(v, m, k, m - 1)
+            cont = _successor_values(v, m, k)
             cont[row == 0.0] = 0.0
             wait[m, k] = _wait_cost(m, k, q, row, cont)
             if k >= 1:

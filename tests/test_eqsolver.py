@@ -80,7 +80,7 @@ class TestGapProbeBitIdentity:
                 k = int(rng.integers(0, 4)) if rng.uniform() < 0.7 else 0
                 cont = self._continuation(rng, m, k)
                 rows = eqsolver._BinomRows(m, 64, eqsolver._scan_grid(1, eqsolver._SCAN_LO, 64))
-                ev = eqsolver._GapEvaluator(rows, k, w, _successor_values(cont, m, k, m - 1))
+                ev = eqsolver._GapEvaluator(rows, k, w, _successor_values(cont, m, k))
                 qs = [1.0, 1e-300, 3e-300, 1e-200, 1e-12] + rng.uniform(0.0, 1.0, 6).tolist()
                 if k >= 1:
                     qs.append(0.0)
@@ -473,7 +473,7 @@ class TestNoEntryCertificate:
             cont = _continuation(sol, s)
             exact = s.k * w > 1.0 + max(cont)
             # the solver's certificate may be stricter, never looser
-            assert exact or not _certifies_no_entry(s.k, w, np.array(cont)), s
+            assert exact or not _certifies_no_entry(s.k, w, max(cont)), s
             if exact:
                 certified += 1
                 gaps = oracles.gap_values(s.m, s.k, w, self.QS, cont)
@@ -487,6 +487,6 @@ class TestNoEntryCertificate:
         sol = solve_equilibrium(GameParams(n, w))
         q0 = [s for s in enumerate_states(n) if s.m >= 2 and sol.profile.q(s) == 0.0]
         fired = [
-            s for s in q0 if _certifies_no_entry(s.k, w, np.array(_continuation(sol, s)))
+            s for s in q0 if _certifies_no_entry(s.k, w, max(_continuation(sol, s)))
         ]
         assert len(fired) >= 0.9 * len(q0), (len(fired), len(q0))

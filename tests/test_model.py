@@ -93,10 +93,19 @@ class TestEnumerateStates:
         assert enumerate_states(4) is not enumerate_states(4)
 
     def test_cache_holds_one_n(self):
-        for n in range(1, 30):
-            enumerate_states(n)
-        info = model._states.cache_info()
-        assert info.maxsize == 1 and info.currsize == 1
+        # one cache at the largest n asked for; smaller n are slices of it
+        big = enumerate_states(30)
+        cache = model._state_cache
+        for n in (3, 30, 7, 29, 1, 12, 30):
+            states, m, k = model._states(n)
+            assert model._state_cache is cache, n
+            assert states == tuple(enumerate_states(n)), n
+            assert all(a is b for a, b in zip(states, big)), n
+            assert m.tolist() == [s.m for s in states] and k.tolist() == [s.k for s in states]
+            for a in (m, k):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 1
 
 
 class TestCachedArraysReadOnly:
@@ -109,7 +118,7 @@ class TestCachedArraysReadOnly:
             a[0] = 1.0
 
     def test_pmf_row_constants(self):
-        pmf = model._PmfRow(7)
+        pmf = model._Pmf(7)
         for a in (pmf._i, pmf._rest, pmf._logc):
             self._assert_read_only(a)
 
@@ -120,9 +129,12 @@ class TestCachedArraysReadOnly:
 class TestPmfRow:
     @pytest.mark.parametrize("m", [1, 2, 7, 40, 160])
     def test_pmf_row_matches_binom_row(self, m):
-        pmf = model._PmfRow(m)
+        pmf = model._Pmf(m)
         for q in (1e-300, 1e-12, 0.3, 0.5, 0.9999, 0.0, 1.0, 0.7):
-            assert np.array_equal(pmf(q), model._binom_row(m, q)), q
+            assert np.array_equal(pmf(q), oracles.binom_row_plain(m, q)), q
+
+    def test_nan_q_gives_a_nan_row(self):
+        assert np.isnan(model._Pmf(5)(math.nan)).all()
 
 
 class TestBinomMatrix:
@@ -130,7 +142,21 @@ class TestBinomMatrix:
     def test_equals_one_exp_over_the_matrix(self, m):
         # the entries below the exp floor are 0 either way; all others are np.exp's own
         qs = np.concatenate([[0.0, 1e-300, 1e-12], np.geomspace(1e-9, 1.0, 300), [0.5, 1.0]])
-        assert np.array_equal(model._binom_matrix(m, qs), oracles.binom_matrix_plain(m, qs))
+        assert np.array_equal(model._Pmf(m).rows(qs), oracles.binom_matrix_plain(m, qs))
+
+
+class TestSuccessors:
+    @pytest.mark.parametrize("w", [3.0, 100.0])
+    def test_block_is_successor_values_past_slot_0(self, w):
+        n = 12
+        cost = solve_equilibrium(GameParams(n, w)).per_player.values.dense(n)
+        for s in enumerate_states(n):
+            if s.m < 2:
+                continue
+            block = model._successors(cost, s.m, np.array([s.k, s.k]))
+            expected = model._successor_values(cost, s.m, s.k)[1:]
+            assert block.shape == (2, s.m - 1), s
+            assert np.array_equal(block[0], expected) and np.array_equal(block[1], expected), s
 
 
 class TestBinomPmf:
