@@ -282,11 +282,7 @@ def enumerate_states(n: int) -> List[QueueState]:
     return list(_states(n)[0])
 
 
-_state_cache: Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray] = (
-    (),
-    np.zeros(0, np.intp),
-    np.zeros(0, np.intp),
-)
+_state_cache = ((), np.zeros(0, np.intp), np.zeros(0, np.intp))
 
 
 def _states(n: int) -> Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray]:
