@@ -139,7 +139,7 @@ def opt_recursive_upper(m: int, w: float, alpha: float) -> float:
     spike = (w - 1.0) / 2.0 * alpha**2 * (m / (m - alpha)) ** 2 * math.exp(
         alpha**2 / (m - alpha)
     )
-    return m - 1 + (m * ea + spike) / -math.expm1(-alpha)
+    return m - 1 + (m * ea + spike) / (1.0 - ea)
 
 
 @dataclass(frozen=True)

@@ -183,11 +183,9 @@ def _golden_min(f, a: float, b: float, tol: float) -> Tuple[float, float]:
     return x, min(fc, fd)
 
 
-def _stage_grid(m: int, points: int, w: float) -> np.ndarray:
+def _stage_grid(m: int, points: int) -> np.ndarray:
     half = points // 2
-    # the optimum p is about sqrt(2/w)/m at large w, so the lower end follows
-    # it down; below w = 1e10 it is 1e-8/m
-    lo = min(1e-8, 1e-3 / math.sqrt(w)) / m
+    lo = 1e-8 / m
     knee = 1.0 / m
     left = np.geomspace(lo, knee, half)
     # at least [knee, 1]: solve_opt reads p = 1 off the last grid point
@@ -212,7 +210,7 @@ def solve_opt(
     p: List[float] = [math.nan, 1.0]
     bufs = np.empty((2, max(_BLOCK, _BLOCK_ROWS * (n + 1))))
     for m in range(2, n + 1):
-        grid = _stage_grid(m, grid_points, w)
+        grid = _stage_grid(m, grid_points)
         f = _StageCost(m, _stage_increments(m, w, opt))
         vals = _stage_cost_grid(f, grid, bufs)
         best_x, best_f = 1.0, float(vals[-1])

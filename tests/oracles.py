@@ -378,7 +378,7 @@ def solve_opt_unblocked(
     opt: List[float] = [0.0, 0.0]
     p: List[float] = [math.nan, 1.0]
     for m in range(2, n + 1):
-        grid = optsolver._stage_grid(m, grid_points, w)
+        grid = optsolver._stage_grid(m, grid_points)
         inc = optsolver._stage_increments(m, w, opt)
         vals = stage_cost_grid_unblocked(m, grid, inc)
         f = optsolver._StageCost(m, inc)

@@ -31,12 +31,7 @@ from bneck.model import (
     enumerate_states,
     total_cost_evaluate,
 )
-from bneck.optsolver import (
-    heuristic_profile_large_w,
-    heuristic_profile_small_w,
-    opt_closed_form_2p,
-    solve_opt,
-)
+from bneck.optsolver import heuristic_profile_large_w, heuristic_profile_small_w, solve_opt
 
 import oracles
 from oracles import prob_vanishing_trend
@@ -293,23 +288,6 @@ _ADVISORY_EPS_ROWS = {
         ("eq_lower_large_w_simple", True),
     ],
 }
-
-
-class TestLargeW:
-    """At large w the optimal p is about sqrt(2/w)/m, far below 1e-8/m: the
-    stage grid must reach down to it, and the increment bound must not lose
-    1 - e^-alpha to cancellation."""
-
-    @pytest.mark.parametrize("w", [2.0 + 1e-12, 1e17, 1e18, 1e30, 1e300])
-    @pytest.mark.parametrize("n", [2, 3, 10, 40])
-    def test_bounds_and_verify_pass(self, n, w):
-        params = GameParams(n, w)
-        eq, opt = solve_equilibrium(params), solve_opt(params)
-        report = bounds_report(eq, opt)
-        assert report.passed, [e.name for e in report.hard_failures]
-        assert verify_equilibrium(eq).passed
-        if n == 2 and w <= 1e18:
-            assert opt.total_cost == pytest.approx(opt_closed_form_2p(w)[1], rel=1e-12, abs=0.0)
 
 
 class TestReportLayout:

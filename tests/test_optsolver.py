@@ -99,11 +99,11 @@ class TestBlockedStageGrid:
     @pytest.mark.parametrize("m", [2, 15, 16, 150, 400])
     def test_matches_unblocked_formula(self, m, grid_points):
         rng = np.random.default_rng(m * 10_000 + grid_points)
+        ps = optsolver._stage_grid(m, grid_points)
+        assert ps[-1] == 1.0  # the last grid row is p = 1, an all-enter unit row
         prefix = [0.0, 0.0] + [j * (j - 1) / 2.0 * rng.uniform(1.0, 3.0) for j in range(2, m)]
         bufs = np.empty((2, optsolver._BLOCK))
         for w in (2.5, 3.0, 100.0, 1e18):
-            ps = optsolver._stage_grid(m, grid_points, w)
-            assert ps[-1] == 1.0  # the last grid row is p = 1, an all-enter unit row
             stage = optsolver._StageCost(m, optsolver._stage_increments(m, w, prefix))
             got = optsolver._stage_cost_grid(stage, ps, bufs)
             want = oracles.stage_cost_grid_unblocked(m, ps, stage.inc)
