@@ -346,14 +346,17 @@ class _Pmf:
     matrix (``rows``) from ``np.log``/``np.log1p``.  The two families
     disagree in the last bit on some inputs, so a row and the matching
     matrix row need not be equal, and each caller keeps to one of them.
+    A matrix is ``log_columns``, ``log_into``, ``_exp_into`` and
+    ``set_edge_rows``; the blocked stage grid of ``optsolver`` takes the
+    same steps one row block at a time.
     """
 
     def __init__(self, m: int):
         self.m = m
         lf = _logfact(m)
-        i = np.arange(m + 1)
-        self._i, self._rest = i.astype(float), (m - i).astype(float)
-        self._logc = lf[m] - lf[i] - lf[m - i]
+        self._i = np.arange(m + 1.0)
+        self._rest = m - self._i
+        self._logc = lf[m] - lf[: m + 1] - lf[m::-1]
         for a in (self._i, self._rest, self._logc):
             a.flags.writeable = False
         self._row = np.empty(m + 1)
@@ -381,19 +384,26 @@ class _Pmf:
             return row
         return np.exp(self.log_into(math.log(q), math.log1p(-q), row, self._tmp), row)
 
+    @staticmethod
+    def log_columns(qs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """log q and log(1-q) columns for ``log_into``, at 0.5 where q is not in (0, 1)."""
+        safe = np.where((qs > 0.0) & (qs < 1.0), qs, 0.5)
+        return np.log(safe)[:, None], np.log1p(-safe)[:, None]
+
+    def set_edge_rows(self, out: np.ndarray, qs: np.ndarray) -> np.ndarray:
+        """Overwrite the rows of ``out`` at q <= 0 and q >= 1 with their one-hot rows."""
+        for edge, i in ((qs <= 0.0, 0), (qs >= 1.0, self.m)):
+            if edge.any():
+                out[edge] = 0.0
+                out[edge, i] = 1.0
+        return out
+
     def rows(self, qs) -> np.ndarray:
         """A fresh matrix of pmf rows, one per q of ``qs``; shape (len(qs), m+1)."""
         qs = np.asarray(qs, dtype=float)
-        interior = (qs > 0.0) & (qs < 1.0)
-        safe = np.where(interior, qs, 0.5)
-        with np.errstate(divide="ignore"):
-            lq, l1q = np.log(safe)[:, None], np.log1p(-safe)[:, None]
         logv, out = np.empty((len(qs), self.m + 1)), np.empty((len(qs), self.m + 1))
-        out = _exp_into(self.log_into(lq, l1q, logv, out), out)
-        if not interior.all():
-            out[qs <= 0.0] = np.eye(self.m + 1)[0]
-            out[qs >= 1.0] = np.eye(self.m + 1)[self.m]
-        return out
+        out = _exp_into(self.log_into(*self.log_columns(qs), logv, out), out)
+        return self.set_edge_rows(out, qs)
 
 
 # np.exp(x) is 0 below about -745.13 (e^x < 2^-1075 rounds to 0), and numpy

@@ -142,9 +142,7 @@ def _stage_cost_grid(stage: _StageCost, ps: np.ndarray, bufs: np.ndarray) -> np.
     block is one block.
     """
     m, inc, pmf = stage.m, stage.inc, stage._pmf
-    interior = ps < 1.0
-    safe = np.where(interior, ps, 0.5)
-    lq, l1q = np.log(safe)[:, None], np.log1p(-safe)[:, None]
+    lq, l1q = pmf.log_columns(ps)
     vals = np.empty(len(ps))
     height = max(_BLOCK // (m + 1) // _BLOCK_ROWS, 1) * _BLOCK_ROWS
     if len(ps) * (m + 1) <= _BLOCK:
@@ -153,9 +151,7 @@ def _stage_cost_grid(stage: _StageCost, ps: np.ndarray, bufs: np.ndarray) -> np.
         r1 = min(r0 + height, len(ps))
         logv, B = (b[: (r1 - r0) * (m + 1)].reshape(r1 - r0, m + 1) for b in bufs)
         _exp_into(pmf.log_into(lq[r0:r1], l1q[r0:r1], logv, B), B)
-        full = ~interior[r0:r1]  # p = 1: all m enter
-        B[full] = 0.0
-        B[full, m] = 1.0
+        pmf.set_edge_rows(B, ps[r0:r1])  # p = 1: all m enter
         vals[r0:r1] = B[:, 0] * m + B[:, 1:] @ inc
     return vals / one_minus_pow(ps, m)
 
