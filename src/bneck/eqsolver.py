@@ -438,8 +438,7 @@ def _check_states(
     w = params.w
     q, v, wait = _finite_profile_costs(profile, params)
     q, cost, c0 = q[ms, ks], v[ms, ks], wait[ms, ks]
-    with np.errstate(over="ignore"):  # k*w is inf at huge w, as in float math
-        c1 = (ms - 1) / 2.0 * q * w + ks * w  # cost_enter
+    c1 = (ms - 1) / 2.0 * q * w + ks * w  # cost_enter
     slack = tol * np.where(np.abs(cost) > 1.0, np.abs(cost), 1.0)
     interior, idle = (q > 0.0) & (q < 1.0), q == 0.0
     gain = np.where(idle, c0 - c1, c1 - c0)  # what the pure action gives up

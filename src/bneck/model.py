@@ -98,7 +98,11 @@ def _check_solver_settings(grid_points: int, tol: float) -> None:
 
 @dataclass(frozen=True)
 class GameParams:
-    """Game parameters: n agents, in-queue waiting cost w > 1 per step."""
+    """Game parameters: n agents, in-queue waiting cost w > 1 per step.
+
+    w must be finite, and so must w*n*(n-1), the largest product the cost
+    arithmetic forms (w*k(k-1) at k = n, evaluated in this order).
+    """
 
     n: int
     w: float
@@ -108,6 +112,10 @@ class GameParams:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if not (self.w > 1.0 and math.isfinite(self.w)):
             raise InvalidParameterError(f"w must be finite and > 1, got {self.w}")
+        if not math.isfinite(self.w * self.n * (self.n - 1)):
+            raise InvalidParameterError(
+                f"costs overflow: w*n*(n-1) is not finite at n={self.n}, w={self.w}"
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -541,8 +549,7 @@ def _profile_costs(q: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:
     """
     n = len(q) - 1
     ks = np.arange(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):  # k*w is inf at huge w, as in float math
-        enter = (ks[:, None] - 1) / 2.0 * q * w + ks * w  # cost_enter; nan off the game
+    enter = (ks[:, None] - 1) / 2.0 * q * w + ks * w  # cost_enter; nan off the game
     mix = np.multiply(q, enter, np.zeros_like(q), where=q > 0.0)  # q*c1
     v = np.zeros((n + 1, n + 1))
     v[1] = np.arange(n + 1)
@@ -602,8 +609,7 @@ def total_cost_evaluate(
     n, w = params.n, params.w
     v, _ = _profile_costs(_dense_q(profile, n), w)
     ks = np.arange(n + 1)
-    with np.errstate(over="ignore"):  # w*k(k-1)/2 is inf at huge w, as in float math
-        t = ks[:, None] * v + w * ks * (ks - 1) / 2.0
+    t = ks[:, None] * v + w * ks * (ks - 1) / 2.0
     total = float(t[n, 0])
     if not math.isfinite(total):
         raise NonTerminatingProfileError(

@@ -10,7 +10,7 @@ at the end are the exception: see their section.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -502,3 +502,47 @@ def empty_queue_totals_exact(p: Sequence[float], n: int, w: float, dps: int = 40
                 acc += weight * (big_w * i * (i - 1) / 2 + i * (m - i) + vals[m - i])
             vals.append(acc / (1 - stay**m))
         return float(vals[n])
+
+
+def nice_check_grid(
+    fn: Callable[[int, int], float], n_max: int
+) -> Tuple[bool, List[Tuple[str, Tuple[int, int], Tuple[int, int], float, float]]]:
+    """The float grid search over every (m, k), m, k <= n_max, that
+    ``bounds.nice_function_check`` replaced (frozen): (passed, witnesses).
+
+    It tests condition 1 as the float difference fn(m, k) - fn(m, 0) >= k,
+    less a 1e-9 slack, so it fails nice functions once fn(m, 0) swamps k.
+    """
+    if n_max < 2:
+        raise InvalidParameterError(f"n_max must be >= 2, got {n_max}")
+    slack = 1e-9
+    vals = np.array([[fn(m, k) for k in range(n_max + 1)] for m in range(1, n_max + 1)])
+    witnesses: List[Tuple[str, Tuple[int, int], Tuple[int, int], float, float]] = []
+    for mi in range(n_max):
+        for k in range(n_max + 1):
+            lhs = vals[mi, k] - vals[mi, 0]
+            if lhs < k - slack:
+                witnesses.append(("condition1", (mi + 1, k), (mi + 1, 0), lhs, float(k)))
+    # A[mi, t] = fn(m, t - m) on the (m, total) grid; condition 2 says each
+    # entry dominates the running max over smaller m and smaller total.
+    tmax = 2 * n_max
+    A = np.full((n_max, tmax + 1), -np.inf)
+    for mi in range(n_max):
+        for k in range(n_max + 1):
+            A[mi, mi + 1 + k] = vals[mi, k]
+    best = np.maximum.accumulate(np.maximum.accumulate(A, axis=0), axis=1)
+    for mi in range(n_max):
+        for k in range(n_max + 1):
+            t = mi + 1 + k
+            if vals[mi, k] < best[mi, t] - slack:
+                arg = np.unravel_index(int(np.argmax(A[: mi + 1, : t + 1])), (mi + 1, t + 1))
+                witnesses.append(
+                    (
+                        "condition2",
+                        (mi + 1, k),
+                        (int(arg[0]) + 1, int(arg[1] - arg[0] - 1)),
+                        float(vals[mi, k]),
+                        float(best[mi, t]),
+                    )
+                )
+    return not witnesses, witnesses

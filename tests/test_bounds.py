@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import pytest
 
 from bneck import bounds as bounds_mod
 from bneck.bounds import (
+    _E_RATIO,
     BoundsReport,
     aux_lemma_validators,
     bounds_report,
@@ -112,16 +114,67 @@ class TestNiceFunctions:
         assert nice_function_check(phi_sqrt(w, 1.0), 50).passed
 
     def test_mutant_fails_condition1(self):
-        mutant = NiceBoundFunction("drops-k", lambda m, k: float(m))
+        mutant = NiceBoundFunction("drops-k", 0.0, lambda m: float(m))
         result = nice_function_check(mutant, 10)
         assert not result.passed
         assert any(wit[0] == "condition1" and wit[1][1] >= 1 for wit in result.witnesses)
 
     def test_mutant_fails_condition2(self):
         # decreasing in m violates the move-to-queue monotonicity
-        mutant = NiceBoundFunction("anti-monotone", lambda m, k: float(-m + 10 * k))
+        mutant = NiceBoundFunction("anti-monotone", 10.0, lambda m: -11.0 * m)
         result = nice_function_check(mutant, 10)
         assert not result.passed
+
+    def test_witnesses(self):
+        falls = NiceBoundFunction("falls", -1.0, lambda m: -float(m > 3))
+        assert nice_function_check(falls, 10).witnesses == (
+            ("condition1", (1, 1), (1, 0), -1.0, 1.0),
+            ("condition2", (1, 1), (1, 0), -1.0, 0.0),
+            ("condition2", (4, 0), (3, 1), -1.0, 0.0),
+        )
+
+    @pytest.mark.parametrize("n_max", [10, 50])
+    @pytest.mark.parametrize(
+        "phi",
+        [make(w) for make in (phi_harmonic, phi_sqrt) for w in (2.5, 10.0, 1e4, 1e15)]
+        + [
+            NiceBoundFunction("drops-k", 0.0, lambda m: float(m)),
+            NiceBoundFunction("anti-monotone", 10.0, lambda m: -11.0 * m),
+        ],
+        ids=lambda phi: phi.name,
+    )
+    def test_matches_grid_oracle(self, phi, n_max):
+        result = nice_function_check(phi, n_max)
+        passed, witnesses = oracles.nice_check_grid(phi, n_max)
+        assert result.passed == passed
+        assert {wit[0] for wit in result.witnesses} == {wit[0] for wit in witnesses}
+
+    @pytest.mark.parametrize(
+        "make, w",
+        [(phi_harmonic, 1e16), (phi_harmonic, 1e30), (phi_harmonic, 1e300)]
+        + [(phi_sqrt, 1e30), (phi_sqrt, 1e300)],
+    )
+    def test_exact_where_the_grid_rounds_k_away(self, make, w):
+        # phi(m, k) - phi(m, 0) rounds below k once phi(m, 0) swamps k (from
+        # w = 1e16 for the harmonic ceiling, 1e30 for the sqrt one), so the
+        # float grid reports condition-1 witnesses for a nice function
+        phi = make(w)
+        assert nice_function_check(phi, 50).passed
+        _, witnesses = oracles.nice_check_grid(phi, 50)
+        assert any(wit[0] == "condition1" for wit in witnesses)
+
+    def test_structured_values(self):
+        # the structured form keeps the sqrt ceiling's arithmetic, and moves
+        # the harmonic one by rounding only
+        w, eps = 10.0, 0.5
+        for m in range(1, 30):
+            for k in range(30):
+                sq = _E_RATIO * (m + k) + (1.0 + eps) * math.sqrt(w) * math.sqrt(
+                    m + 2.0 * math.sqrt(m - 1.0)
+                )
+                assert phi_sqrt(w, eps)(m, k) == sq
+                harm = m + k + math.sqrt(w / 2.0) + sum(w / (2.0 * i) for i in range(1, m))
+                assert phi_harmonic(w)(m, k) == pytest.approx(harm, rel=1e-15)
 
 
 class TestAuxLemmas:
@@ -172,6 +225,16 @@ class TestProbVanishing:
     def test_trend_decreasing_in_w(self):
         ok, worsts = prob_vanishing_trend(3, [10.0, 100.0, 1000.0, 10000.0], eps=0.1)
         assert ok, worsts
+
+
+def _largest_accepted_w(n: int) -> float:
+    """The largest float w with w*n*(n-1) finite."""
+    w = sys.float_info.max / (n * (n - 1))
+    while math.isfinite(w * n * (n - 1)):
+        w = math.nextafter(w, math.inf)
+    while not math.isfinite(w * n * (n - 1)):
+        w = math.nextafter(w, 0.0)
+    return w
 
 
 class TestBoundsReport:
@@ -240,19 +303,22 @@ class TestBoundsReport:
         assert e.note == f"{sum(v[2] for v in vanish)}/{len(vanish)} states in vanishing regime"
 
     def test_no_float_warnings_at_huge_w(self):
-        # k*w overflows to inf at w near the float maximum, silently as in
-        # scalar float math
-        params = GameParams(6, 1.7e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            eq, opt = solve_equilibrium(params), solve_opt(params)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert verify_equilibrium(eq).passed
-            report = bounds_report(eq, opt)
-            total = total_cost_evaluate(eq.profile, params)[1]
-        assert report.entries[0].name == "per_player_floor"
-        assert total == pytest.approx(eq.total_cost, rel=1e-9)
+        # at the largest w that G(n; w) accepts; the next float up, like
+        # 1.7e308, makes w*n*(n-1) overflow and is rejected
+        for n in (2, 3, 6, 10, 40):
+            w = _largest_accepted_w(n)
+            for bad in (math.nextafter(w, math.inf), 1.7e308):
+                with pytest.raises(InvalidParameterError, match=f"n={n}"):
+                    GameParams(n, bad)
+            params = GameParams(n, w)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                eq, opt = solve_equilibrium(params), solve_opt(params)
+                assert verify_equilibrium(eq).passed
+                report = bounds_report(eq, opt)
+                total = total_cost_evaluate(eq.profile, params)[1]
+            assert report.entries[0].name == "per_player_floor"
+            assert total == pytest.approx(eq.total_cost, rel=1e-9)
 
     def test_parameter_mismatch(self):
         eq = solve_equilibrium(GameParams(3, 10.0))

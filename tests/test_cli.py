@@ -260,6 +260,55 @@ def test_bad_eps_exits_bad_input(args, w, eps, tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def _finite_numbers(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(_finite_numbers(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite_numbers(v) for v in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+_DOMAIN_WS = [1 + 1e-12, 2 - 1e-12, 2.0, 2 + 1e-12, 1e16, 1e18, 1e30, 1e300, 1e306, 1e308, 1.7e308]
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 40])
+@pytest.mark.parametrize("w", _DOMAIN_WS)
+def test_domain(w, n, tmp_path, capsys):
+    """Every accepted game is solved and verified; every other one exits 2 at once."""
+    overflows = not math.isfinite(w * n * (n - 1))
+    commands = [["eq"], ["opt"], ["verify", "--samples", "1000", "--nmax", "30"]]
+    # the heuristic optimum bounds still fail from w = 1e18 (ROADMAP item 1)
+    if w <= 1e17 or overflows:
+        commands.append(["bounds"])
+    for cmd in commands:
+        code, text = run(cmd + ["--n", str(n), "--w", repr(w)], tmp_path, cmd[0])
+        err = capsys.readouterr().err
+        if overflows:
+            assert code == EXIT_BAD_INPUT, cmd
+            assert f"n={n}, w={w}" in err and not text
+        else:
+            assert code == EXIT_OK, (cmd, text)
+            if cmd[0] != "verify":
+                assert _finite_numbers(json.loads(text)), cmd
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--n-range", "2:3", "--w-list", "3,1e308"],
+        ["sim", "--from-eq", "2", "1e308"],
+        ["sim", "--profile", "{profile}"],
+    ],
+    ids=lambda args: args[0] + ("_profile" if "{profile}" in args else ""),
+)
+def test_overflowing_costs_exit_bad_input(args, tmp_path):
+    pfile = tmp_path / "huge.json"
+    pfile.write_text('{"n": 2, "w": 1e308, "entries": [{"m": 2, "k": 0, "q": 0.5}]}')
+    out = tmp_path / "out"
+    assert main([a.format(profile=pfile) for a in args] + ["--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
+
+
 class TestBounds:
     def test_pass_exit0(self, tmp_path, schema):
         code, text = run(
