@@ -273,6 +273,13 @@ def cmd_sim(args) -> int:
         _write(_json_text({"command": "sim", **fields}), args.out)
     else:
         _write(_csv_text(list(fields), [[_csv_cell(v) for v in fields.values()]]), args.out)
+    if report.max_steps_hit == report.trials:
+        # no trial finished: mean_total sums truncated trials and means nothing
+        print(
+            f"error: all {report.trials} trials hit the step limit; mean_total is not an estimate",
+            file=sys.stderr,
+        )
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

@@ -18,19 +18,32 @@ so k*w > 1 + max(cont) makes the gap positive for every q.
 For k = 0 the waiting cost diverges as q -> 0+, so a negative-gap lower
 scan endpoint always exists and is found by halving from 1/(m-1).
 
-Backward induction visits states m-major (m ascending, then k ascending):
-(m, k) needs only (m, k-1) and states with fewer agents outside.  So each
-m-row gathers the successors (m-i, k-1+i), i >= 1, of all its states at
-once, with their row maxima, and a scalar loop over k carries cost(m, k-1).
-It settles a certified state with the per-state test
-(``_certifies_no_entry``), max(cont) being max(cost(m, k-1), row maximum),
-and only a state that fails it gets a continuation vector and a scan.  All
-k >= 1 states share one scan grid, built once per solve, and its binomial
-matrix (``model._Pmf.rows``) is built once per m.  Solved costs live in a
-dense (n+1) x (n+1) array.  A scalar probe (the k = 0 endpoint search and
-every bisection step) takes its pmf row from a per-m ``model._Pmf`` and
-computes the wait and enter costs inline, returning the gap and the enter
-cost from one evaluation.
+Backward induction walks the anti-diagonals t = m + k upward: every
+successor of (m, k), slot 0 (m, k-1) included, lies on diagonal t - 1, so
+a diagonal is solved at once (``_solve_diagonal``).  The continuation of
+(m, k), k >= 1, is the reversed prefix cost(m, t-1-m), ..., cost(1, t-2)
+of that diagonal, and its maximum a prefix maximum, so the no-entry
+certificate (``_certifies_no_entry``) tests the whole diagonal in one
+array expression.  When at least ``_LOCKSTEP_MIN`` states stay open, each
+is sorted by the sign changes of gamma[i] = k*w + w*i/2 - 1 - cont[i], the
+gap's coefficients in the degree-(m-1) Bernstein basis (``_gamma_signs``).
+By the variation-diminishing property the gap has at most as many roots in
+(0, 1) as gamma has sign changes, and it lies between min and max gamma.
+With every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
+  - no sign change gives the no-entry or all-enter tuple the scan would;
+  - one sign change gives one root.  If the diagonal has at least
+    ``_LOCKSTEP_MIN`` such states, a search over the k >= 1 scan grid finds
+    their cells together (``_root_cells``), and ``_bisect_lockstep``
+    bisects them in lockstep, its probes batched by ``_GapProbes``, with
+    ``_bisect``'s midpoints, tests and arithmetic.
+Every other k >= 1 state goes to ``_scan_state``, whose binomial matrix
+(``model._Pmf.rows``) a state of the same m on the next diagonal reuses.
+The state (t, 0) goes to ``_empty_queue_state``, which settles it in the
+same way from the degree-m Bernstein form of enter*leave - stay, finding
+its cell by scalar probes, or else scans it.  A scalar probe takes its
+pmf row from the state's ``model._Pmf``, a batched one the same row from
+a padded block of them.  Every state gets, bit for bit, what the scan
+returns.  Solved costs live in a dense (n+1) x (n+1) array.
 
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 a state with m + k <= n solves the same, bit for bit, in every G(N; w) with
@@ -57,12 +70,12 @@ from .model import (
     _check_solver_settings,
     _decision_states,
     _dense_q,
+    _exp_into,
     _mask_off_game,
     _Pmf,
     _profile_costs,
     _states,
     _successor_values,
-    _successors,
     _wait_cost,
 )
 
@@ -89,6 +102,8 @@ _SCAN_LO = 1e-12  # lower scan endpoint above q = 0 at k >= 1
 # scan's binomial rows, so a certified state also has a positive gap at every
 # scan point and the certificate returns exactly what the scan would
 _CERT_MARGIN = 1e-9
+_LOCKSTEP_MIN = 8  # single-root states a diagonal needs to bisect them in lockstep
+_LOG_HALF = math.log(0.5)  # log q and log(1-q) of a batch row that holds no probe
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -175,13 +190,14 @@ class _GapEvaluator:
         return float(enter - stay / leave), enter
 
 
-def _certifies_no_entry(k: int, w: float, cont_max: float) -> bool:
+def _certifies_no_entry(k, w: float, cont_max):
     """True when nobody enters at (m, k) for any peer entry probability.
 
+    ``k`` and ``cont_max`` are scalars, or arrays for one test per state.
     At k >= 1 entering costs at least k*w and waiting at most 1 + cont_max,
     cont_max being the largest continuation cost.
     """
-    return k >= 1 and k * w > (1.0 + cont_max) * (1.0 + _CERT_MARGIN)
+    return (k >= 1) & (k * w > (1.0 + cont_max) * (1.0 + _CERT_MARGIN))
 
 
 def _bisect(ev: _GapEvaluator, a: float, b: float, fa: float, fb: float, tol: float):
@@ -211,6 +227,16 @@ def _scan_grid(k: int, lo: float, points: int) -> np.ndarray:
     return grid
 
 
+def _lower_end(ev: _GapEvaluator) -> Tuple[float, float]:
+    """The k = 0 scan's lower endpoint and its gap: halving from 1/(m-1) until waiting dominates."""
+    lo = min(1.0, 1.0 / (ev.m - 1))
+    flo = ev.probe(lo)[0]
+    while flo >= 0.0 and lo > _MIN_BRACKET:
+        lo *= 0.5
+        flo = ev.probe(lo)[0]
+    return lo, flo
+
+
 def _scan_state(
     rows: _BinomRows,
     k: int,
@@ -226,13 +252,7 @@ def _scan_state(
     m = rows.m
     ev = _GapEvaluator(rows, k, w, cont)
     if k == 0:
-        # push the lower endpoint down until waiting dominates entering
-        lo = min(1.0, 1.0 / (m - 1))
-        flo = ev.probe(lo)[0]
-        while flo >= 0.0 and lo > _MIN_BRACKET:
-            lo *= 0.5
-            flo = ev.probe(lo)[0]
-        grid = _scan_grid(k, lo, rows.grid_points)
+        grid = _scan_grid(k, _lower_end(ev)[0], rows.grid_points)
         gaps = ev.gap(grid, rows.pmf.rows(grid))
     else:
         grid, B = rows.scan()
@@ -261,6 +281,57 @@ def _scan_state(
         )
     q, res = roots[0] if policy is RootPolicy.SMALLEST_Q else roots[-1]
     return q, float(ev.enter(q)), len(roots), res
+
+
+def _empty_queue_state(
+    rows: _BinomRows, w: float, cont: np.ndarray, policy: RootPolicy, tol: float
+) -> Tuple[float, float, int, float]:
+    """``_scan_state``'s tuple at (m, 0), from the signs of f where they allow.
+
+    f = enter * leave - stay is the gap times leave = 1 - (1-q)^(m-1) > 0.
+    Its coefficient at q = j/m in the degree-m Bernstein basis is
+    (m-1)/2*w*j/m [j >= 2] - 1 - (m-j)/m*c[j] - j/m*c[j-1], with c the
+    continuation, c[0] = c[m] = 0.  f[0] = -1.  With every coefficient
+    farther than the slack from 0, no sign change means the gap is
+    negative on (0, 1] (everybody enters), and one sign change one root.
+    A binary search of scalar probes finds its cell of the scan grid, each
+    probed gap farther from 0 than the scan's rounding could move it, and
+    ``_bisect`` refines the cell.  Any other state is scanned.
+    """
+    m = rows.m
+    c = np.append(cont, 0.0)
+    j = np.arange(m + 1)
+    f = np.where(j >= 2, (m - 1) / 2.0 * w * j / m, 0.0) - 1.0 - (m - j) / m * c
+    f[1:] -= j[1:] / m * c[:-1]
+    slack = _CERT_MARGIN * ((m - 1) / 2.0 * w + 1.0 + c.max())
+    pos = f > 0.0
+    changes = np.count_nonzero(pos[1:] != pos[:-1])
+    if changes > 1 or (np.abs(f) <= slack).any():
+        return _scan_state(rows, 0, w, cont, policy, tol)
+    if not changes:
+        c1 = (m - 1) / 2.0 * 1.0 * w + 0.0  # enter cost at q = 1
+        return 1.0, c1, 0, c1 - (1.0 + cont[-1])
+    ev = _GapEvaluator(rows, 0, w, cont)
+    grid = _scan_grid(0, _lower_end(ev)[0], rows.grid_points)
+
+    def sign(at: int) -> int:
+        """The gap's sign at grid[at]; 0 where the scan's rounding could flip it."""
+        gap, enter = ev.probe(float(grid[at]))
+        if abs(gap) <= _CERT_MARGIN * (abs(enter) + abs(enter - gap)):
+            return 0
+        return -1 if gap < 0.0 else 1
+
+    if sign(0) != -1:
+        return _scan_state(rows, 0, w, cont, policy, tol)
+    lo, hi = 0, len(grid) - 1  # the gap at grid[-1] = 1 is f[m] > 0
+    while hi - lo > 1:
+        at = (lo + hi) // 2
+        side = sign(at)
+        if not side:
+            return _scan_state(rows, 0, w, cont, policy, tol)
+        lo, hi = (at, hi) if side < 0 else (lo, at)
+    q, res = _bisect(ev, float(grid[lo]), float(grid[hi]), -1.0, 1.0, tol)
+    return q, float(ev.enter(q)), 1, res
 
 
 def solve_state(
@@ -298,38 +369,25 @@ def solve_equilibrium(
 
     Deterministic for fixed inputs.  c(1, k) = k and q = 1 at m = 1; every
     other state is solved by the sign-scan/bisection case analysis against
-    the already-solved continuation states.
+    the already-solved continuation states, one anti-diagonal m + k at a
+    time (``_solve_diagonal``).
     """
     _check_solver_settings(grid_points, tol)
     n, w = params.n, params.w
     # q, cost, root count and residual per state, indexed [m, k]; cost feeds
-    # the continuation gather.  Row m = 1 is the lone-agent rule.
+    # the continuation gather.  Row m = 1 is the lone-agent rule, and row
+    # m = 0 stays 0.
     q, cost = np.ones((n + 1, n + 1)), np.zeros((n + 1, n + 1))
     cost[1] = np.arange(n + 1)
     roots, residual = np.zeros((n + 1, n + 1), dtype=int), np.zeros((n + 1, n + 1))
     upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
-    for m in range(2, n + 1):
-        rows = _BinomRows(m, grid_points, upper_grid)
-        ks = np.arange(n - m + 1)
-        # conts[k] is the continuation of (m, k), gathered for the whole row
-        # at once: slots i >= 1 hold the successors, in rows already solved;
-        # slot 0 holds (m, k-1) and is filled just before (m, k) is scanned
-        conts = np.empty((len(ks), m))
-        conts[:, 1:] = _successors(cost, m, ks)
-        tail_max = conts[:, 1:].max(axis=1).tolist()
-        prev = 0.0  # cost(m, k-1); slot 0 is the divided-out self-loop at k = 0
-        results = []
-        for k in ks.tolist():
-            if _certifies_no_entry(k, w, max(prev, tail_max[k])):
-                result = (0.0, 1.0 + prev, 0, 0.0)
-            else:
-                cont = conts[k]
-                cont[0] = prev
-                result = _scan_state(rows, k, w, cont, policy, tol)
-            prev = result[1]
-            results.append(result)
-        row = np.s_[m, : len(ks)]
-        q[row], cost[row], roots[row], residual[row] = zip(*results)
+    scans = {}  # m -> _BinomRows of the states the last diagonal scanned
+    for t in range(2, n + 1):
+        j = np.arange(t + 1)
+        diagonal = j[2:], t - j[2:]
+        q[diagonal], cost[diagonal], roots[diagonal], residual[diagonal] = _solve_diagonal(
+            cost[j[:-1], t - 1 - j[:-1]], w, scans, upper_grid, grid_points, policy, tol
+        )
     states, ms, ks = _states(n)
     diagnostics = map(StateDiagnostics, roots[ms, ks].tolist(), residual[ms, ks].tolist())
     return EquilibriumSolution(
@@ -339,6 +397,266 @@ def solve_equilibrium(
         policy=policy,
         diagnostics=dict(zip(states, diagnostics)),
     )
+
+
+def _solve_diagonal(
+    prev: np.ndarray,
+    w: float,
+    scans: dict,
+    upper_grid: np.ndarray,
+    grid_points: int,
+    policy: RootPolicy,
+    tol: float,
+) -> np.ndarray:
+    """q, cost, root count and residual of the states (m, t - m), m = 2..t: a (4, t - 1) array.
+
+    ``prev[j]`` is cost(j, t - 1 - j), j = 0..t-1, and prev[0] is 0: the
+    diagonal that every successor lies on.  Column m - 2 holds (m, t - m).
+    Each state gets what ``_scan_state`` would return (see the module
+    docstring).  ``scans`` holds the ``_BinomRows`` of the states that the
+    last diagonal scanned, whose scan matrices the next state of the same
+    m reuses; it is left holding this diagonal's.
+    """
+    t = len(prev)
+    # the no-entry tuple (0, 1 + cost(m, k-1), 0, 0) at every k >= 1 state,
+    # overwritten below where the certificate and gamma do not give it
+    out = np.zeros((4, t - 1))
+    out[1, :-1] = 1.0 + prev[2:]
+    ms = np.arange(2, t)
+    cmax = np.maximum.accumulate(prev[1:])[ms - 1]  # the largest continuation cost
+    cols = np.flatnonzero(~_certifies_no_entry(t - ms, w, cmax))
+    if len(cols) >= _LOCKSTEP_MIN:
+        cols = _settle_open(out, cols, prev, w, cmax[cols], upper_grid, grid_points, tol)
+    last = scans.copy()
+    scans.clear()
+    for m in (np.append(cols, t - 2) + 2).tolist():
+        cont = np.empty(m)
+        cont[0] = prev[m] if m < t else 0.0
+        cont[1:] = prev[m - 1 : 0 : -1]
+        rows = scans[m] = last.get(m) or _BinomRows(m, grid_points, upper_grid)
+        if m < t:
+            out[:, m - 2] = _scan_state(rows, t - m, w, cont, policy, tol)
+        else:
+            out[:, m - 2] = _empty_queue_state(rows, w, cont, policy, tol)
+    return out
+
+
+def _settle_open(
+    out: np.ndarray,
+    cols: np.ndarray,
+    prev: np.ndarray,
+    w: float,
+    cmax: np.ndarray,
+    upper_grid: np.ndarray,
+    grid_points: int,
+    tol: float,
+) -> np.ndarray:
+    """Settle the uncertified k >= 1 states ``cols`` of ``_solve_diagonal`` that gamma's signs allow.
+
+    Writes their tuples into ``out`` and returns the columns left to the
+    scan.  With every gamma[i] clear of 0 (``_gamma_signs``), a state
+    with no sign change has no root and one with one sign change exactly
+    one.  The single-root states are bisected in lockstep when there are
+    at least ``_LOCKSTEP_MIN`` of them; else, and for every other state,
+    the scan decides.
+    """
+    t = len(prev)
+    ms = cols + 2
+    ks = t - ms
+    conts = prev[np.maximum(ms[:, None] - np.arange(t - 1), 0)]  # 0 past slot m - 1
+    changes, neg0, slack = _gamma_signs(ms, ks, w, conts, cmax)
+    # no sign change: the gap has gamma's sign on all of [0, 1], so nobody
+    # enters (the tuple ``out`` holds) or everybody does
+    enter = (changes == 0) & neg0
+    c1 = (ms[enter] - 1) / 2.0 * 1.0 * w + ks[enter] * w  # enter cost at q = 1
+    out[0, cols[enter]], out[1, cols[enter]] = 1.0, c1
+    out[3, cols[enter]] = c1 - (1.0 + prev[1])
+    one = np.flatnonzero(changes == 1)
+    if len(one) < _LOCKSTEP_MIN:
+        return cols[changes != 0]
+    cells = _root_cells(ms[one], ks[one], w, conts[one], neg0[one], slack[one], upper_grid)
+    changes[one[cells < 0]] = -1
+    one, cells = one[cells >= 0], cells[cells >= 0]
+    out[:, cols[one]] = _single_roots(
+        ms[one], ks[one], w, conts[one], upper_grid, cells, neg0[one], grid_points, tol
+    )
+    return cols[(changes < 0) | (changes > 1)]
+
+
+def _gamma_signs(
+    ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray, cmax: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sign changes of gamma, the sign of the gap at q = 0 and the slack, per k >= 1 state.
+
+    gamma[i] = k*w + w*i/2 - 1 - cont[i] is the gap's coefficient at
+    q = i / (m-1) in the degree-(m-1) Bernstein basis.  Row j of ``conts``
+    holds state j's continuation in its first m slots, and ``cmax`` its
+    maximum.  A state with a gamma[i] within the slack of 0 gets -1
+    changes: the scan has to decide it.
+    """
+    i = np.arange(conts.shape[1])
+    inside = i < ms[:, None]
+    gamma = (ks[:, None] * w + w * i / 2.0) - (1.0 + conts)
+    slack = _CERT_MARGIN * (ks * w + w * (ms - 1) / 2.0 + 1.0 + cmax)
+    pos = gamma > 0.0
+    changes = np.count_nonzero((pos[:, 1:] != pos[:, :-1]) & inside[:, 1:], axis=1)
+    near = ((np.abs(gamma) <= slack[:, None]) & inside).any(axis=1)
+    return np.where(near, -1, changes), ~pos[:, 0], slack
+
+
+def _root_cells(
+    ms: np.ndarray,
+    ks: np.ndarray,
+    w: float,
+    conts: np.ndarray,
+    neg0: np.ndarray,
+    slack: np.ndarray,
+    grid: np.ndarray,
+) -> np.ndarray:
+    """The cell j of ``grid`` that holds each single-root k >= 1 state's root.
+
+    A binary search over the grid indices, all states in lockstep, with
+    ``neg0`` the sign of the gap at q = 0 (grid[0]).  Only the sign of each
+    probed gap matters, so a matrix row sum stands in for the scan's
+    product.  A state with a probed gap within ``slack`` of 0, where that
+    sign is not certain, gets -1.
+    """
+    conts = conts[:, : ms.max()]
+    pmf = _Pmf.padded(ms - 1)
+    logv, rows = np.empty(conts.shape), np.empty(conts.shape)
+    half, kw = (ms - 1) / 2.0, ks * w
+    lo, hi = np.zeros(len(ms), np.intp), np.full(len(ms), len(grid) - 1)
+    sure = np.ones(len(ms), bool)
+    while (wide := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        qs = grid[mid]
+        _exp_into(pmf.log_into(*_Pmf.log_columns(qs), logv, rows), rows)
+        gap = half * qs * w + kw - (1.0 + np.einsum("ij,ij->i", rows, conts))
+        sure &= ~wide | (np.abs(gap) > slack)
+        left = (gap < 0.0) == neg0
+        lo = np.where(wide & left, mid, lo)
+        hi = np.where(wide & ~left, mid, hi)
+    return np.where(sure, lo, -1)
+
+
+def _single_roots(
+    ms: np.ndarray,
+    ks: np.ndarray,
+    w: float,
+    conts: np.ndarray,
+    grid: np.ndarray,
+    cells: np.ndarray,
+    neg0: np.ndarray,
+    grid_points: int,
+    tol: float,
+) -> np.ndarray:
+    """(q, enter cost, 1, gap) of single-root k >= 1 states, as columns, by bisecting their cells.
+
+    ``_bisect_lockstep`` does the bisection; a bracket it leaves open gets
+    its last probe from the state's ``_GapEvaluator``, as ``_bisect``'s
+    does.
+    """
+    q, gap, enter = _bisect_lockstep(ms, ks, w, conts, grid[cells], grid[cells + 1], neg0, tol)
+    for j in np.flatnonzero(np.isnan(gap)).tolist():
+        m = int(ms[j])
+        ev = _GapEvaluator(_BinomRows(m, grid_points, grid), int(ks[j]), w, conts[j, :m])
+        gap[j] = ev.probe(float(q[j]))[0]
+        enter[j] = ev.enter(float(q[j]))
+    return np.stack([q, enter, np.ones(len(q)), gap])
+
+
+class _GapProbes:
+    """``_GapEvaluator.probe`` for a batch of k >= 1 states, bit for bit.
+
+    The pmf rows of a call's probes are rows of one padded ``_Pmf`` block:
+    the logs that ``math.log`` and ``math.log1p`` give each q,
+    ``log_into`` and ``_exp_into``.  Each row is dotted with its state's
+    continuation on its own, and the enter cost and the gap follow in the
+    probe's scalar arithmetic.  Row j of ``conts`` holds state j's
+    continuation in its first m slots.
+    """
+
+    def __init__(self, ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray):
+        self._pmf = _Pmf.padded(ms - 1)
+        self._logv, self._rows = np.empty(self._pmf._i.shape), np.empty(self._pmf._i.shape)
+        sizes = ms.tolist()
+        self._dots = [(self._rows[j, :m].dot, conts[j, :m]) for j, m in enumerate(sizes)]
+        self._half, self._kw, self._w = ((ms - 1) / 2.0).tolist(), (ks * w).tolist(), w
+        # log q and log(1-q) per row; a row without a probe keeps its last
+        self._lq, self._l1q = [_LOG_HALF] * len(sizes), [_LOG_HALF] * len(sizes)
+
+    def __call__(self, rows: List[int], qs: List[float]) -> Tuple[List[float], List[float]]:
+        """Gap and enter cost at each q of ``qs``, in (0, 1), for the row beside it in ``rows``."""
+        lq, l1q = self._lq, self._l1q
+        for r, q in zip(rows, qs):
+            lq[r], l1q[r] = math.log(q), math.log1p(-q)
+        lq, l1q = np.array(lq)[:, None], np.array(l1q)[:, None]
+        _exp_into(self._pmf.log_into(lq, l1q, self._logv, self._rows), self._rows)
+        half, kw, w, dots = self._half, self._kw, self._w, self._dots
+        gap, enter = [], []
+        for r, q in zip(rows, qs):
+            e = half[r] * q * w + kw[r]
+            dot, cont = dots[r]
+            gap.append(float(e - (1.0 + dot(cont))))
+            enter.append(e)
+        return gap, enter
+
+
+def _bisect_lockstep(
+    ms: np.ndarray,
+    ks: np.ndarray,
+    w: float,
+    conts: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    neg: np.ndarray,
+    tol: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_bisect`` on a batch of k >= 1 brackets at once, bit for bit.
+
+    ``neg`` is the sign of the gap at each left end, which ``_bisect``
+    never changes.  Each round runs ``_bisect``'s loop body once per open
+    bracket, in the same scalar arithmetic, with one ``_GapProbes`` call
+    for all of the round's probes; the block shrinks to the open brackets
+    once a quarter of its rows are closed.  Returns q, gap and enter cost
+    per bracket.  A bracket that ran out of rounds or midpoints has its
+    last midpoint as q and a nan gap and enter cost, for a scalar probe to
+    fill in.
+    """
+    q, gap, enter = np.full((3, len(a)), math.nan).tolist()
+    ids = list(range(len(a)))  # the bracket on each row of the probe block
+    a, b, neg = a.tolist(), b.tolist(), neg.tolist()  # per row
+    probes = _GapProbes(ms, ks, w, conts)
+    todo = ids  # the rows of the open brackets
+    for _ in range(_MAX_BISECT):
+        at, mids = [], []
+        for r in todo:
+            mid = 0.5 * (a[r] + b[r])
+            if a[r] < mid < b[r]:
+                at.append(r)
+                mids.append(mid)
+            else:
+                q[ids[r]] = mid
+        todo = []
+        for r, mid, fm, e in zip(at, mids, *probes(at, mids)):
+            if abs(fm) <= tol * max(1.0, abs(e)):
+                j = ids[r]
+                q[j], gap[j], enter[j] = mid, fm, e
+                continue
+            if (fm < 0.0) == neg[r]:
+                a[r] = mid
+            else:
+                b[r] = mid
+            todo.append(r)
+        if not todo:
+            break
+        if 4 * len(todo) <= 3 * len(ids):
+            ids, a, b, neg = ([x[r] for r in todo] for x in (ids, a, b, neg))
+            probes = _GapProbes(ms[ids], ks[ids], w, conts[ids])
+            todo = list(range(len(ids)))
+    for r in todo:
+        q[ids[r]] = 0.5 * (a[r] + b[r])
+    return np.array(q), np.array(gap), np.array(enter)
 
 
 def eq_closed_form_2p(w: float) -> Tuple[float, float]:

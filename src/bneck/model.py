@@ -356,7 +356,8 @@ class _Pmf:
     matrix row need not be equal, and each caller keeps to one of them.
     A matrix is ``log_columns``, ``log_into``, ``_exp_into`` and
     ``set_edge_rows``; the blocked stage grid of ``optsolver`` takes the
-    same steps one row block at a time.
+    same steps one row block at a time.  ``padded`` holds the constants of
+    several degrees, one row each.
     """
 
     def __init__(self, m: int):
@@ -369,6 +370,25 @@ class _Pmf:
             a.flags.writeable = False
         self._row = np.empty(m + 1)
         self._tmp = np.empty(m + 1)
+
+    @classmethod
+    def padded(cls, degrees: np.ndarray) -> "_Pmf":
+        """The constants of one row per degree of ``degrees``, zero-padded to the largest.
+
+        Only ``log_into`` applies, with columns of logs: row j of its output
+        is, entry for entry, the log-pmf of degree ``degrees[j]``, followed
+        by 0s.  ``m`` is the array of degrees.
+        """
+        self = cls.__new__(cls)
+        self.m = degrees
+        top = int(degrees.max())
+        lf = _logfact(top)[: top + 1]
+        i = np.arange(top + 1.0)
+        d = degrees[:, None]
+        inside = i <= d
+        self._i, self._rest = np.where(inside, i, 0.0), np.where(inside, d - i, 0.0)
+        self._logc = np.where(inside, lf[d] - lf - lf[self._rest.astype(np.intp)], 0.0)
+        return self
 
     def log_into(self, lq, l1q, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """The log-pmf into ``out``, using ``tmp``.
@@ -425,6 +445,8 @@ def _exp_into(logv: np.ndarray, out: np.ndarray) -> np.ndarray:
     Measured on AVX-512 numpy 2.4: np.exp takes about 15 ns on an entry
     that underflows and 1 ns on others, and a masked np.exp about 2 ns per
     entry, so the mask pays once about an eighth of the entries underflow.
+    ``out`` must not share memory with ``logv``: the masked path zeroes
+    ``out`` before it reads ``logv``.
     """
     keep = logv > _EXP_FLOOR
     if 8 * np.count_nonzero(keep) > 7 * keep.size:

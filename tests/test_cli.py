@@ -137,6 +137,16 @@ class TestSim:
     def test_requires_exactly_one_source(self, tmp_path):
         assert main(["sim", "--trials", "10"]) == EXIT_BAD_INPUT
 
+    def test_all_trials_truncated_fails(self, tmp_path, capsys, schema):
+        # at w = 1e300 the idle draw saturates and no trial ever finishes:
+        # the document is still written, but the command must not pass
+        code, text = run(["sim", "--from-eq", "2", "1e300", "--trials", "200"], tmp_path)
+        assert code == EXIT_CHECK_FAILED
+        doc = json.loads(text)
+        schema.validate(doc)
+        assert doc["max_steps_hit"] == doc["trials"] == 200
+        assert "all 200 trials hit the step limit" in capsys.readouterr().err
+
     def test_csv_matches_json(self, tmp_path):
         args = ["sim", "--from-eq", "3", "10", "--trials", "500", "--seed", "4"]
         _, text = run(args, tmp_path, "json")

@@ -490,3 +490,196 @@ class TestNoEntryCertificate:
             s for s in q0 if _certifies_no_entry(s.k, w, max(_continuation(sol, s)))
         ]
         assert len(fired) >= 0.9 * len(q0), (len(fired), len(q0))
+
+
+UPPER = eqsolver._scan_grid(1, eqsolver._SCAN_LO, eqsolver.DEFAULT_GRID_POINTS)
+
+
+def _scan(m, k, w, cont, policy=RootPolicy.SMALLEST_Q):
+    """``_scan_state``'s tuple and the sign-change cells of its scan gaps."""
+    rows = eqsolver._BinomRows(m, eqsolver.DEFAULT_GRID_POINTS, UPPER)
+    result = eqsolver._scan_state(rows, k, w, cont, policy, eqsolver.DEFAULT_TOL)
+    gaps = eqsolver._GapEvaluator(rows, k, w, cont).gap(UPPER, rows.scan()[1])
+    with np.errstate(over="ignore"):
+        cells = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0).tolist()
+    return result, cells
+
+
+class TestBernsteinCertificate:
+    """The gamma sign classes of the diagonal solver against the scan they stand in for."""
+
+    WS = (1.01, 1.5, 2.5, 3.0, 100.0, 1e18)
+
+    @staticmethod
+    def _classify(m, k, w, cont):
+        cont = np.asarray(cont, dtype=float)
+        changes, neg0, slack = eqsolver._gamma_signs(
+            np.array([m]), np.array([k]), w, cont[None, :], np.array([cont.max()])
+        )
+        return int(changes[0]), bool(neg0[0]), float(slack[0])
+
+    @staticmethod
+    def _random_cont(rng, m, k, w):
+        # continuations around the enter cost line k*w + w*i/2 - 1, so that the
+        # gap has zero, one or several sign changes
+        i = np.arange(m)
+        line = k * w + w * i / 2.0 - 1.0
+        kind = rng.integers(4)
+        if kind == 0:
+            return rng.uniform(0.0, 2.0 * line.max() + 2.0, m)
+        if kind == 1:  # one crossing of the line
+            cut = rng.uniform(-0.2, 1.2) * m
+            return np.maximum(line + np.where(i < cut, 1, -1) * rng.uniform(0.01, 1.0) * (1 + line), 0.0)
+        if kind == 2:  # a straight line crossing the enter line
+            a, b = rng.uniform(0.0, 2.0 * line.max() + 2.0, 2)
+            return np.maximum(a + (b - a) * i / max(m - 1, 1), 0.0)
+        return line + rng.normal(0.0, 0.05 * (1 + line.max()), m) ** 3  # near-zero gammas
+
+    def assert_class(self, m, k, w, cont):
+        cont = np.asarray(cont, dtype=float)
+        changes, neg0, slack = self._classify(m, k, w, cont)
+        result, cells = _scan(m, k, w, cont)
+        if changes == 0:
+            c1 = (m - 1) / 2.0 * 1.0 * w + k * w
+            want = (1.0, c1, 0, c1 - (1.0 + cont[-1])) if neg0 else (0.0, 1.0 + cont[0], 0, 0.0)
+            assert result == want, (m, k, w)
+        elif changes == 1:
+            assert result[2] == 1 and len(cells) == 1, (m, k, w)
+            got = eqsolver._root_cells(
+                np.array([m]), np.array([k]), w, cont[None, :], np.array([neg0]),
+                np.array([slack]), UPPER,
+            )
+            assert got[0] in (-1, cells[0]), (m, k, w)
+            if got[0] >= 0:
+                q, gap, enter = eqsolver._bisect_lockstep(
+                    np.array([m]), np.array([k]), w, cont[None, :], UPPER[got], UPPER[got + 1],
+                    np.array([neg0]), eqsolver.DEFAULT_TOL,
+                )
+                if not math.isnan(gap[0]):
+                    assert (q[0], enter[0], 1, gap[0]) == result, (m, k, w)
+        return changes
+
+    def test_random_continuations(self):
+        rng = np.random.default_rng(19)
+        seen = {}
+        for case in range(1800):
+            w = self.WS[case % len(self.WS)]
+            m, k = int(rng.integers(2, 61)), int(rng.integers(1, 6))
+            changes = self.assert_class(m, k, w, self._random_cont(rng, m, k, w))
+            seen[min(changes, 2)] = seen.get(min(changes, 2), 0) + 1
+        assert set(seen) == {-1, 0, 1, 2}, seen
+        assert seen[1] >= 200, seen
+
+    def test_built_cases(self):
+        w, k, m = 3.0, 1, 31
+        line = k * w + w * np.arange(m) / 2.0 - 1.0
+        i = np.arange(m)
+        # gamma of two and three sign changes: the scan decides
+        for cuts in ((8, 20), (5, 14, 25)):
+            sign = (-1) ** np.searchsorted(cuts, i, side="right")
+            cont = line + sign * 0.5
+            changes, _, _ = self._classify(m, k, w, cont)
+            assert changes == len(cuts)
+            self.assert_class(m, k, w, cont)
+        # gamma exactly 0 at some i: within the slack, the scan decides
+        cont = line + np.where(i < 10, -0.5, 0.5)
+        cont[[3, 17]] = line[[3, 17]]
+        gamma = k * w + w * i / 2.0 - (1.0 + cont)
+        assert (gamma[[3, 17]] == 0.0).all()
+        assert self._classify(m, k, w, cont)[0] == -1
+        self.assert_class(m, k, w, cont)
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    def test_empty_queue_states(self, policy):
+        # (m, 0): the degree-m form's classes against the scan, tuple for tuple
+        rng = np.random.default_rng(0)
+        for case in range(300):
+            w = self.WS[case % len(self.WS)]
+            m = int(rng.integers(2, 61))
+            cont = self._random_cont(rng, m, 1, w)
+            cont[0] = 0.0  # the divided-out self-loop
+            rows = eqsolver._BinomRows(m, eqsolver.DEFAULT_GRID_POINTS, UPPER)
+            tol = eqsolver.DEFAULT_TOL
+            want = eqsolver._scan_state(rows, 0, w, cont, policy, tol)
+            assert eqsolver._empty_queue_state(rows, w, cont, policy, tol) == want, (m, w)
+
+    @pytest.mark.parametrize("w", [1.5, 3.0, 100.0])
+    def test_unclassified_states_reach_the_scan(self, w):
+        # a diagonal whose open states cover all classes: every state that
+        # gamma does not settle is among the columns left to the scan
+        rng = np.random.default_rng(int(w))
+        t = 40
+        prev = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0 * t, t - 1))])
+        ms = np.arange(2, t)
+        cmax = np.maximum.accumulate(prev[1:])[ms - 1]
+        cols = np.flatnonzero(~eqsolver._certifies_no_entry(t - ms, w, cmax))
+        out = np.zeros((4, t - 1))
+        left = eqsolver._settle_open(
+            out, cols, prev, w, cmax[cols], UPPER, eqsolver.DEFAULT_GRID_POINTS,
+            eqsolver.DEFAULT_TOL,
+        )
+        for col in cols.tolist():
+            m = col + 2
+            changes = self._classify(m, t - m, w, prev[m:0:-1])[0]
+            if changes not in (0, 1):
+                assert col in left
+
+
+class TestGapProbes:
+    """The batched probe equals ``_GapEvaluator.probe`` (==) on every row."""
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(150)
+        qs_fixed = [1e-300, 1e-12, 1.0 - 2.0**-52]
+        cases = 0
+        for w in (1.01, 3.0, 100.0, 1e18):
+            for _ in range(6):
+                size = int(rng.integers(1, 30))
+                ms = rng.integers(2, 151, size)
+                ks = rng.integers(1, 20, size)
+                conts = np.zeros((size, ms.max()))
+                for j, m in enumerate(ms.tolist()):
+                    conts[j, :m] = rng.uniform(0.0, 3.0 * (m + ks[j]), m)
+                probes = eqsolver._GapProbes(ms, ks, w, conts)
+                for _ in range(4):
+                    rows = sorted(rng.choice(size, int(rng.integers(1, size + 1)), replace=False).tolist())
+                    qs = [qs_fixed[r % 4] if r % 4 < 3 else float(rng.uniform()) for r in rows]
+                    gaps, enters = probes(rows, qs)
+                    for r, q, gap, enter in zip(rows, qs, gaps, enters):
+                        m = int(ms[r])
+                        rows_m = eqsolver._BinomRows(m, 64, UPPER)
+                        ev = eqsolver._GapEvaluator(rows_m, int(ks[r]), w, conts[r, :m].copy())
+                        assert (gap, enter) == ev.probe(q), (m, q, w)
+                        cases += 1
+        assert cases >= 500
+
+
+class TestDiagonalSolver:
+    """The diagonal solver against the frozen per-state loop, where its fallbacks live."""
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    def test_n150_w1_5(self, policy):
+        params = GameParams(150, 1.5)
+        TestRowCertificate._assert_same(
+            solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
+        )
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    @pytest.mark.parametrize("w", [1 + 1e-12, 1.01, 2 - 1e-12, 2 + 1e-12])
+    def test_n60_near_w_edges(self, w, policy):
+        params = GameParams(60, w)
+        TestRowCertificate._assert_same(
+            solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
+        )
+
+    def test_lockstep_and_scan_paths_agree(self):
+        # the lockstep threshold picks a path, never an output
+        params = GameParams(60, 3.0)
+        want = solve_equilibrium(params)
+        for threshold in (2, 10**6):
+            old = eqsolver._LOCKSTEP_MIN
+            eqsolver._LOCKSTEP_MIN = threshold
+            try:
+                TestRowCertificate._assert_same(solve_equilibrium(params), want)
+            finally:
+                eqsolver._LOCKSTEP_MIN = old
