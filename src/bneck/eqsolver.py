@@ -477,9 +477,15 @@ def _settle_open(
     cells = _root_cells(ms[one], ks[one], w, conts[one], neg0[one], slack[one], upper_grid)
     changes[one[cells < 0]] = -1
     one, cells = one[cells >= 0], cells[cells >= 0]
-    out[:, cols[one]] = _single_roots(
-        ms[one], ks[one], w, conts[one], upper_grid, cells, neg0[one], grid_points, tol
+    q, gap, enter = _bisect_lockstep(
+        ms[one], ks[one], w, conts[one], upper_grid[cells], upper_grid[cells + 1], neg0[one], tol
     )
+    # a bracket the lockstep left open gets its last probe, as _bisect's does
+    for j in np.flatnonzero(np.isnan(gap)).tolist():
+        m = int(ms[one[j]])
+        ev = _GapEvaluator(_BinomRows(m, grid_points, upper_grid), t - m, w, conts[one[j], :m])
+        gap[j], enter[j] = ev.probe(float(q[j]))
+    out[:, cols[one]] = q, enter, np.ones(len(one)), gap
     return cols[(changes < 0) | (changes > 1)]
 
 
@@ -537,32 +543,6 @@ def _root_cells(
         lo = np.where(wide & left, mid, lo)
         hi = np.where(wide & ~left, mid, hi)
     return np.where(sure, lo, -1)
-
-
-def _single_roots(
-    ms: np.ndarray,
-    ks: np.ndarray,
-    w: float,
-    conts: np.ndarray,
-    grid: np.ndarray,
-    cells: np.ndarray,
-    neg0: np.ndarray,
-    grid_points: int,
-    tol: float,
-) -> np.ndarray:
-    """(q, enter cost, 1, gap) of single-root k >= 1 states, as columns, by bisecting their cells.
-
-    ``_bisect_lockstep`` does the bisection; a bracket it leaves open gets
-    its last probe from the state's ``_GapEvaluator``, as ``_bisect``'s
-    does.
-    """
-    q, gap, enter = _bisect_lockstep(ms, ks, w, conts, grid[cells], grid[cells + 1], neg0, tol)
-    for j in np.flatnonzero(np.isnan(gap)).tolist():
-        m = int(ms[j])
-        ev = _GapEvaluator(_BinomRows(m, grid_points, grid), int(ks[j]), w, conts[j, :m])
-        gap[j] = ev.probe(float(q[j]))[0]
-        enter[j] = ev.enter(float(q[j]))
-    return np.stack([q, enter, np.ones(len(q)), gap])
 
 
 class _GapProbes:

@@ -654,6 +654,43 @@ class TestGapProbes:
         assert cases >= 500
 
 
+class TestBisectLockstep:
+    """``_bisect_lockstep`` against ``_bisect``, bracket for bracket (==).
+
+    Brackets need not hold a root: both follow the sign of the gap at the
+    left end, so random brackets also run out of rounds or of midpoints.
+    """
+
+    @pytest.mark.parametrize("rounds", [eqsolver._MAX_BISECT, 3])
+    def test_against_scalar_bisect(self, rounds, monkeypatch):
+        monkeypatch.setattr(eqsolver, "_MAX_BISECT", rounds)
+        rng = np.random.default_rng(rounds)
+        size, w, tol = 40, 3.0, eqsolver.DEFAULT_TOL
+        ms, ks = rng.integers(2, 40, size), rng.integers(1, 4, size)
+        conts = np.zeros((size, ms.max()))
+        for j, m in enumerate(ms.tolist()):
+            conts[j, :m] = rng.uniform(0.0, 3.0 * (m + ks[j]), m)
+        a = rng.uniform(0.0, 0.9, size)
+        b = a + rng.uniform(1e-9, 0.1, size)
+        b[:4] = np.nextafter(a[:4], 1.0)  # no midpoint strictly inside
+        neg = rng.uniform(size=size) < 0.5
+        q, gap, enter = eqsolver._bisect_lockstep(ms, ks, w, conts, a, b, neg, tol)
+        left_open = 0
+        for j, m in enumerate(ms.tolist()):
+            ev = eqsolver._GapEvaluator(
+                eqsolver._BinomRows(m, 64, UPPER), int(ks[j]), w, conts[j, :m].copy()
+            )
+            fa = -1.0 if neg[j] else 1.0
+            want_q, want_gap = eqsolver._bisect(ev, float(a[j]), float(b[j]), fa, -fa, tol)
+            assert q[j] == want_q, j
+            if math.isnan(gap[j]):
+                left_open += 1
+                assert ev.probe(want_q)[0] == want_gap
+            else:
+                assert (gap[j], enter[j]) == (want_gap, ev.enter(want_q)), j
+        assert left_open >= 4
+
+
 class TestDiagonalSolver:
     """The diagonal solver against the frozen per-state loop, where its fallbacks live."""
 
