@@ -467,25 +467,27 @@ def _settle_open(
     changes, neg0, slack = _gamma_signs(ms, ks, w, conts, cmax)
     # no sign change: the gap has gamma's sign on all of [0, 1], so nobody
     # enters (the tuple ``out`` holds) or everybody does
-    enter = (changes == 0) & neg0
-    c1 = (ms[enter] - 1) / 2.0 * 1.0 * w + ks[enter] * w  # enter cost at q = 1
-    out[0, cols[enter]], out[1, cols[enter]] = 1.0, c1
-    out[3, cols[enter]] = c1 - (1.0 + prev[1])
+    all_enter = (changes == 0) & neg0
+    c1 = (ms[all_enter] - 1) / 2.0 * 1.0 * w + ks[all_enter] * w  # enter cost at q = 1
+    out[0, cols[all_enter]], out[1, cols[all_enter]] = 1.0, c1
+    out[3, cols[all_enter]] = c1 - (1.0 + prev[1])
     one = np.flatnonzero(changes == 1)
     if len(one) < _LOCKSTEP_MIN:
         return cols[changes != 0]
     cells = _root_cells(ms[one], ks[one], w, conts[one], neg0[one], slack[one], upper_grid)
     changes[one[cells < 0]] = -1
     one, cells = one[cells >= 0], cells[cells >= 0]
-    q, gap, enter = _bisect_lockstep(
-        ms[one], ks[one], w, conts[one], upper_grid[cells], upper_grid[cells + 1], neg0[one], tol
-    )
-    # a bracket the lockstep left open gets its last probe, as _bisect's does
-    for j in np.flatnonzero(np.isnan(gap)).tolist():
-        m = int(ms[one[j]])
-        ev = _GapEvaluator(_BinomRows(m, grid_points, upper_grid), t - m, w, conts[one[j], :m])
-        gap[j], enter[j] = ev.probe(float(q[j]))
-    out[:, cols[one]] = q, enter, np.ones(len(one)), gap
+    if len(one):
+        q, gap, enter = _bisect_lockstep(
+            ms[one], ks[one], w, conts[one], upper_grid[cells], upper_grid[cells + 1],
+            neg0[one], tol,
+        )
+        # a bracket the lockstep left open gets its last probe, as _bisect's does
+        for j in np.flatnonzero(np.isnan(gap)).tolist():
+            m = int(ms[one[j]])
+            ev = _GapEvaluator(_BinomRows(m, grid_points, upper_grid), t - m, w, conts[one[j], :m])
+            gap[j], enter[j] = ev.probe(float(q[j]))
+        out[:, cols[one]] = q, enter, np.ones(len(one)), gap
     return cols[(changes < 0) | (changes > 1)]
 
 
