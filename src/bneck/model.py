@@ -25,8 +25,9 @@ with Binomial odds and the game moves to (m-i, k+i-1).  ``_successors``
 holds that index arithmetic and ``_Pmf`` the binomial: it is the package's
 only pmf code.  Per-state values live in dense (n+1) x (n+1)
 arrays indexed [m, k]; every per-state table is one behind the Mapping type
-``_StateTable``, nan marking an absent state.  Recursions visit states m-major
-(m ascending, then k ascending: (m, k) needs (m, k-1) and fewer agents out).
+``_StateTable``, nan marking an absent state.  The profile pass visits states
+m-major (m ascending, then k ascending: (m, k) needs (m, k-1) and fewer
+agents out); the equilibrium solver walks the diagonals m + k (``eqsolver``).
 
 One pass, ``_profile_costs``, prices a profile: the per-player cost v(m, k)
 and the waiting cost of every state.  The total social cost needs no second
@@ -281,7 +282,7 @@ def enumerate_states(n: int) -> List[QueueState]:
     """All states with m >= 1 and m + k <= n, by ascending (m+k, m).
 
     Every continuation state of (m, k) has total m+k-1 and therefore
-    precedes it.  The cost recursions visit states m-major instead (see the
+    precedes it.  The cost recursions visit states in other orders (see the
     module docstring) and report their tables in this order.  Each call
     returns a fresh list; the states in it are shared between calls.
     """
