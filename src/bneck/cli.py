@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -342,7 +343,7 @@ def _sweep_row(
         per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, big_eq.per_player.values.dense(n)),
         policy=big_eq.policy,
         # in enumerate_states order, so the states of G(n; w) come first
-        diagnostics=dict(list(big_eq.diagnostics.items())[: n * (n + 1) // 2]),
+        diagnostics=dict(itertools.islice(big_eq.diagnostics.items(), n * (n + 1) // 2)),
     )
     opt = OptSolution(params, big_opt.p[: n + 1], big_opt.opt[: n + 1])
     report = bounds_mod._bounds_report(eq, opt, eps, bounds_mod.DEFAULT_REL_TOL, heuristics)

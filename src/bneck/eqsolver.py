@@ -31,11 +31,25 @@ By the variation-diminishing property the gap has at most as many roots in
 (0, 1) as gamma has sign changes, and it lies between min and max gamma.
 With every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
   - no sign change gives the no-entry or all-enter tuple the scan would;
-  - one sign change gives one root.  If the diagonal has at least
-    ``_LOCKSTEP_MIN`` such states, a search over the k >= 1 scan grid finds
-    their cells together (``_root_cells``), and ``_bisect_lockstep``
-    bisects them in lockstep, its probes batched by ``_GapProbes``, with
-    ``_bisect``'s midpoints, tests and arithmetic.
+  - one sign change gives one root r.  If the diagonal has at least
+    ``_LOCKSTEP_MIN`` such states, they are settled together:
+      - certificate: when gamma is strictly monotone, so is the gap g, and
+        |g(q)| >= L*|q - r| with L = (m-1) * (min |gamma step| - slack).
+        ``_rounding_bound`` gives E, a bound on the rounding of any gap
+        the package computes;
+      - enclosure (``_enclose``): batched ``np.log`` probes on both sides
+        of the point where gamma's control polygon crosses 0, moved by
+        secant steps until both clear E with opposite signs, put r in
+        [lo, hi].  Then every scan gap outside [lo, hi] has g's sign, so
+        when [lo, hi] lies in one cell of the k >= 1 scan grid, the scan
+        would bisect that cell;
+      - replay (``_bisect_lockstep``): ``_bisect``'s midpoints, exit, stop
+        test and step count, bracket by bracket.  A midpoint farther than
+        (tol*max(1, enter) + E) / L from [lo, hi] takes its branch without
+        a probe; every other gets the exact probe, batched by
+        ``_GapProbes``;
+      - fallback: a state whose gamma is not strictly monotone, whose
+        enclosure fails or whose cell is in doubt goes to the scan.
 Every other k >= 1 state goes to ``_scan_state``, whose binomial matrix
 (``model._Pmf.rows``) a state of the same m on the next diagonal reuses.
 The state (t, 0) goes to ``_empty_queue_state``, which settles it in the
@@ -71,6 +85,7 @@ from .model import (
     _decision_states,
     _dense_q,
     _exp_into,
+    _logfact,
     _mask_off_game,
     _Pmf,
     _profile_costs,
@@ -104,6 +119,9 @@ _SCAN_LO = 1e-12  # lower scan endpoint above q = 0 at k >= 1
 _CERT_MARGIN = 1e-9
 _LOCKSTEP_MIN = 8  # single-root states a diagonal needs to bisect them in lockstep
 _LOG_HALF = math.log(0.5)  # log q and log(1-q) of a batch row that holds no probe
+_U = 2.0**-53  # unit roundoff of a float
+_ENCLOSE_TRIES = 4  # tries of a root's enclosure; each failed one recentres and widens
+_WIDEN = 2.0
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -456,9 +474,9 @@ def _settle_open(
     Writes their tuples into ``out`` and returns the columns left to the
     scan.  With every gamma[i] clear of 0 (``_gamma_signs``), a state
     with no sign change has no root and one with one sign change exactly
-    one.  The single-root states are bisected in lockstep when there are
-    at least ``_LOCKSTEP_MIN`` of them; else, and for every other state,
-    the scan decides.
+    one.  When there are at least ``_LOCKSTEP_MIN`` single-root states,
+    those that ``_enclose`` certifies are bisected in lockstep; the
+    scan decides the rest, and every state when there are fewer.
     """
     t = len(prev)
     ms = cols + 2
@@ -474,13 +492,17 @@ def _settle_open(
     one = np.flatnonzero(changes == 1)
     if len(one) < _LOCKSTEP_MIN:
         return cols[changes != 0]
-    cells = _root_cells(ms[one], ks[one], w, conts[one], neg0[one], slack[one], upper_grid)
+    pmf = _Pmf.padded(ms[one] - 1)
+    cells, cert = _enclose(
+        ms[one], ks[one], w, conts[one], cmax[one], neg0[one], slack[one], upper_grid, pmf
+    )
     changes[one[cells < 0]] = -1
-    one, cells = one[cells >= 0], cells[cells >= 0]
+    held = cells >= 0
+    one, cells, cert = one[held], cells[held], tuple(x[held] for x in cert)
     if len(one):
         q, gap, enter = _bisect_lockstep(
             ms[one], ks[one], w, conts[one], upper_grid[cells], upper_grid[cells + 1],
-            neg0[one], tol,
+            neg0[one], tol, cert, pmf.take(held),
         )
         # a bracket the lockstep left open gets its last probe, as _bisect's does
         for j in np.flatnonzero(np.isnan(gap)).tolist():
@@ -489,6 +511,11 @@ def _settle_open(
             gap[j], enter[j] = ev.probe(float(q[j]))
         out[:, cols[one]] = q, enter, np.ones(len(one)), gap
     return cols[(changes < 0) | (changes > 1)]
+
+
+def _gamma(ks: np.ndarray, w: float, conts: np.ndarray) -> np.ndarray:
+    """gamma[j, i] = k*w + w*i/2 - 1 - cont[i]: the Bernstein coefficients of row j's gap."""
+    return (ks[:, None] * w + w * np.arange(conts.shape[1]) / 2.0) - (1.0 + conts)
 
 
 def _gamma_signs(
@@ -502,9 +529,8 @@ def _gamma_signs(
     maximum.  A state with a gamma[i] within the slack of 0 gets -1
     changes: the scan has to decide it.
     """
-    i = np.arange(conts.shape[1])
-    inside = i < ms[:, None]
-    gamma = (ks[:, None] * w + w * i / 2.0) - (1.0 + conts)
+    inside = np.arange(conts.shape[1]) < ms[:, None]
+    gamma = _gamma(ks, w, conts)
     slack = _CERT_MARGIN * (ks * w + w * (ms - 1) / 2.0 + 1.0 + cmax)
     pos = gamma > 0.0
     changes = np.count_nonzero((pos[:, 1:] != pos[:, :-1]) & inside[:, 1:], axis=1)
@@ -512,39 +538,122 @@ def _gamma_signs(
     return np.where(near, -1, changes), ~pos[:, 0], slack
 
 
-def _root_cells(
+def _rounding_bound(ms: np.ndarray, ks: np.ndarray, w: float, cmax: np.ndarray) -> np.ndarray:
+    """E: a bound on |computed gap - exact gap| at any q of [0, 1], per k >= 1 state.
+
+    It holds for every way the package computes the gap: a scalar or
+    batched probe (``math.log`` logs, one ``ndarray.dot`` per row) and a
+    scan or ``_enclose`` row (``np.log`` logs, a matrix or einsum
+    product).  With u = 2^-53, degree d = m - 1 and p the exact pmf:
+      - lgamma, log, log1p and exp are taken to err by at most 4 ulps
+        (8u relative).  Through the two subtractions of log C(d, i) and the
+        four ``log_into`` operations, log p_i errs by at most
+        u*(12*S_i + 11*T_i), where S_i = lgamma-table sum
+        lf[d] + lf[i] + lf[d-i] <= 2*lf[d] and
+        T_i = i*|log q| + (d-i)*|log(1-q)|, whose mean under p is
+        d*H(q) <= d*log 2;
+      - so sum_i |row_i - p_i|*cont_i <= cmax*u*(24*lf[d] + 8*d + 8), as
+        costs are >= 0;
+      - any summation order of the m-term product adds at most
+        1.02*m*u*cmax, and 1 + product, the enter cost and the final
+        subtraction at most u*(2 + 5*enter(1) + 2.02*cmax);
+      - entries that underflow add less than 1e-300*m*cmax.
+    The sum of those terms, its constant rounded up to 5, is doubled.  That
+    covers second-order terms and the rounding of the comparisons made
+    against E, and gives E >= 10u*(enter(1) + 1 + cmax).
+    """
+    lf = _logfact(int(ms.max()))[ms - 1]
+    enter1 = (ms - 1) / 2.0 * w + ks * w
+    terms = cmax * (24.0 * lf + 10.0 * ms + 11.0) + 5.0 * enter1 + 5.0
+    return 2.0 * _U * terms + 1e-300 * ms * cmax
+
+
+def _enclose(
     ms: np.ndarray,
     ks: np.ndarray,
     w: float,
     conts: np.ndarray,
+    cmax: np.ndarray,
     neg0: np.ndarray,
     slack: np.ndarray,
     grid: np.ndarray,
-) -> np.ndarray:
-    """The cell j of ``grid`` that holds each single-root k >= 1 state's root.
+    pmf=None,
+) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each single-root k >= 1 state's cell of ``grid`` and its certificate, or cell -1.
 
-    A binary search over the grid indices, all states in lockstep, with
-    ``neg0`` the sign of the gap at q = 0 (grid[0]).  Only the sign of each
-    probed gap matters, so a matrix row sum stands in for the scan's
-    product.  A state with a probed gap within ``slack`` of 0, where that
-    sign is not certain, gets -1.
+    When gamma is strictly monotone, with every step clear of the slack
+    that covers its rounding, the gap g is monotone on [0, 1] with slope
+    at least L = (m-1)*(min |step| - slack), so |g(q)| >= L*|q - r| at its
+    root r.  From the point q0 where gamma's control polygon
+    (i/(m-1), gamma[i]) crosses 0, the ends of [q0 - eps, q0 + eps] are
+    probed with batched ``np.log`` rows, as the scan's are.  Until both
+    ends have opposite signs farther than E (``_rounding_bound``) from 0,
+    q0 moves to the secant root of the two gaps and eps widens; then r
+    lies in the enclosure [lo, hi].
+    As E is twice the rounding of any computed gap, |g| exceeds that
+    rounding at both ends, and, g being monotone, at every q outside
+    [lo, hi].  So when no point of ``grid`` lies strictly inside [lo, hi],
+    every scan gap has g's sign, and the scan finds the cell that holds
+    [lo, hi].  Returns the cells and (lo, hi, L, E), for
+    ``_bisect_lockstep``.
     """
-    conts = conts[:, : ms.max()]
-    pmf = _Pmf.padded(ms - 1)
-    logv, rows = np.empty(conts.shape), np.empty(conts.shape)
-    half, kw = (ms - 1) / 2.0, ks * w
-    lo, hi = np.zeros(len(ms), np.intp), np.full(len(ms), len(grid) - 1)
-    sure = np.ones(len(ms), bool)
-    while (wide := hi - lo > 1).any():
-        mid = (lo + hi) // 2
-        qs = grid[mid]
-        _exp_into(pmf.log_into(*_Pmf.log_columns(qs), logv, rows), rows)
-        gap = half * qs * w + kw - (1.0 + np.einsum("ij,ij->i", rows, conts))
-        sure &= ~wide | (np.abs(gap) > slack)
-        left = (gap < 0.0) == neg0
-        lo = np.where(wide & left, mid, lo)
-        hi = np.where(wide & ~left, mid, hi)
-    return np.where(sure, lo, -1)
+    d = ms - 1
+    size, width = len(ms), int(ms.max())
+    conts = conts[:, :width]
+    gamma = _gamma(ks, w, conts)
+    # gamma rises where the gap is negative at 0, and falls elsewhere
+    steps = np.diff(gamma, axis=1) * np.where(neg0, 1.0, -1.0)[:, None]
+    rise = np.where(np.arange(1, width) < ms[:, None], steps, np.inf).min(axis=1)
+    slope = np.maximum(d * (rise - slack), 0.0)
+    pos = gamma > 0.0
+    at = np.argmax(pos[:, 1:] != pos[:, :-1], axis=1)  # the first change is the one inside
+    g0, g1 = gamma[np.arange(size), at], gamma[np.arange(size), at + 1]
+    q0 = (at + g0 / (g0 - g1)) / d
+    bound = _rounding_bound(ms, ks, w, cmax)
+    lo, hi = np.full(size, math.nan), np.full(size, math.nan)
+    todo = np.flatnonzero(slope > 0.0)
+    pmf = _Pmf.padded(d) if pmf is None else pmf
+    # ends 2E/L from the root have |g| >= 2E, so they clear E once computed
+    eps = 2.0 * bound[todo] / slope[todo] + 4.0 * _U * q0[todo]
+    for _ in range(_ENCLOSE_TRIES):
+        if not len(todo):
+            break
+        sub = pmf if len(todo) == size else pmf.take(todo)
+        ends = q0[todo] - eps, q0[todo] + eps
+        inside = (ends[0] > 0.0) & (ends[1] < 1.0)
+        ok, gaps = inside, []
+        for end, below in zip(ends, (neg0[todo], ~neg0[todo])):
+            gaps.append(_rough_gaps(sub, ks[todo], w, conts[todo], end))
+            ok = ok & ((gaps[-1] < 0.0) == below) & (np.abs(gaps[-1]) > bound[todo])
+        lo[todo[ok]], hi[todo[ok]] = ends[0][ok], ends[1][ok]
+        # a failed try moves q0 to the secant root of its two gaps
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = ends[1] - gaps[1] * (ends[1] - ends[0]) / (gaps[1] - gaps[0])
+        moved = inside & (guess > 0.0) & (guess < 1.0)
+        q0[todo[moved]] = guess[moved]
+        todo, eps = todo[~ok], eps[~ok] * _WIDEN
+    cells = np.full(size, -1)
+    held = np.flatnonzero(~np.isnan(lo))
+    j = np.searchsorted(grid, lo[held], side="right") - 1
+    sure = hi[held] <= grid[j + 1]
+    cells[held[sure]] = j[sure]
+    return cells, (lo, hi, slope, bound)
+
+
+def _rough_gaps(
+    pmf: _Pmf, ks: np.ndarray, w: float, conts: np.ndarray, qs: np.ndarray
+) -> np.ndarray:
+    """The gap of each state of a padded ``pmf`` at its q of ``qs``, in (0, 1), within E.
+
+    The rows take ``np.log`` logs, and their entries below e^-700 count as
+    e^-700 (``_rounding_bound`` covers that; ``np.exp`` is slow on the
+    subnormals and zeros it would give them).  One einsum sums them.
+    """
+    logv, rows = np.empty(pmf._i.shape), np.empty(pmf._i.shape)
+    pmf.log_into(*_Pmf.log_columns(qs), logv, rows)
+    np.exp(np.maximum(logv, -700.0, out=logv), rows)
+    cont = np.einsum("ij,ij->i", rows, conts[:, : rows.shape[1]])
+    return pmf.m / 2.0 * qs * w + ks * w - (1.0 + cont)
 
 
 class _GapProbes:
@@ -555,11 +664,12 @@ class _GapProbes:
     ``log_into`` and ``_exp_into``.  Each row is dotted with its state's
     continuation on its own, and the enter cost and the gap follow in the
     probe's scalar arithmetic.  Row j of ``conts`` holds state j's
-    continuation in its first m slots.
+    continuation in its first m slots.  ``pmf``, if given, is the padded
+    ``_Pmf`` of ms - 1.
     """
 
-    def __init__(self, ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray):
-        self._pmf = _Pmf.padded(ms - 1)
+    def __init__(self, ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray, pmf=None):
+        self._pmf = _Pmf.padded(ms - 1) if pmf is None else pmf
         self._logv, self._rows = np.empty(self._pmf._i.shape), np.empty(self._pmf._i.shape)
         sizes = ms.tolist()
         self._dots = [(self._rows[j, :m].dot, conts[j, :m]) for j, m in enumerate(sizes)]
@@ -593,51 +703,82 @@ def _bisect_lockstep(
     b: np.ndarray,
     neg: np.ndarray,
     tol: float,
+    cert=None,
+    pmf=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_bisect`` on a batch of k >= 1 brackets at once, bit for bit.
 
     ``neg`` is the sign of the gap at each left end, which ``_bisect``
-    never changes.  Each round runs ``_bisect``'s loop body once per open
-    bracket, in the same scalar arithmetic, with one ``_GapProbes`` call
-    for all of the round's probes; the block shrinks to the open brackets
-    once a quarter of its rows are closed.  Returns q, gap and enter cost
-    per bracket.  A bracket that ran out of rounds or midpoints has its
-    last midpoint as q and a nan gap and enter cost, for a scalar probe to
-    fill in.
+    never changes.  ``cert`` is ``_enclose``'s (lo, hi, L, E) per bracket,
+    or None: the gap's root lies in [lo, hi], the gap has the left end's
+    sign below lo and the other above hi, |gap(q)| >= L*dist(q, [lo, hi]),
+    and a probe errs by at most E.  ``pmf`` is the padded ``_Pmf`` of
+    ms - 1, if the caller has it.  Each bracket walks ``_bisect``'s
+    midpoints, its ``mid <= a or mid >= b`` exit, its stop test and its
+    ``_MAX_BISECT`` steps.  A midpoint with L*dist > tol*max(1, enter) + E
+    cannot pass the stop test and has a known sign, so it takes its branch
+    without a probe, and the step counts.  Every other midpoint (all of
+    them where L = 0) waits for the round's one ``_GapProbes`` call; the
+    block shrinks to the open brackets once a quarter of its rows are
+    closed.  Returns q, gap and enter cost per bracket.  A bracket that ran
+    out of steps or midpoints has its last midpoint as q and a nan gap and
+    enter cost, for a scalar probe to fill in.
     """
-    q, gap, enter = np.full((3, len(a)), math.nan).tolist()
-    ids = list(range(len(a)))  # the bracket on each row of the probe block
-    a, b, neg = a.tolist(), b.tolist(), neg.tolist()  # per row
-    probes = _GapProbes(ms, ks, w, conts)
-    todo = ids  # the rows of the open brackets
-    for _ in range(_MAX_BISECT):
+    size = len(a)
+    q, gap, enter = np.full((3, size), math.nan).tolist()
+    # skip where mid < lo - r or mid > hi + r, r = (tol*max(1, enter(b)) + E) / L:
+    # every midpoint lies below b, and the computed enter cost rises with q.
+    # E >= 10u*(enter(1) + 1 + cmax) >= 5u*L, which covers the rounding of lo - r
+    low, high = np.full(size, -math.inf), np.full(size, math.inf)
+    if cert is not None:
+        lo, hi, slope, bound = cert
+        sure = slope > 0.0
+        r = (tol * np.maximum(1.0, (ms - 1) / 2.0 * b * w + ks * w) + bound)[sure] / slope[sure]
+        low[sure], high[sure] = lo[sure] - r, hi[sure] + r
+    a, b, neg, low, high = (x.tolist() for x in (a, b, neg, low, high))
+    steps, top = [0] * size, _MAX_BISECT
+    block = todo = list(range(size))  # block: the brackets on the probe block's rows
+    row = list(range(size))  # each block bracket's row
+    probes = _GapProbes(ms, ks, w, conts, pmf)
+    while todo:
         at, mids = [], []
-        for r in todo:
-            mid = 0.5 * (a[r] + b[r])
-            if a[r] < mid < b[r]:
-                at.append(r)
-                mids.append(mid)
+        for j in todo:
+            aj, bj, lj, hj = a[j], b[j], low[j], high[j]
+            for step in range(steps[j], top):
+                mid = 0.5 * (aj + bj)
+                if not aj < mid < bj:
+                    q[j] = mid
+                    break
+                if mid < lj:
+                    aj = mid
+                elif mid > hj:
+                    bj = mid
+                else:
+                    at.append(j)
+                    mids.append(mid)
+                    a[j], b[j], steps[j] = aj, bj, step
+                    break
             else:
-                q[ids[r]] = mid
+                q[j] = 0.5 * (aj + bj)
+        if not at:
+            break
         todo = []
-        for r, mid, fm, e in zip(at, mids, *probes(at, mids)):
+        for j, mid, fm, e in zip(at, mids, *probes([row[j] for j in at], mids)):
             if abs(fm) <= tol * max(1.0, abs(e)):
-                j = ids[r]
                 q[j], gap[j], enter[j] = mid, fm, e
                 continue
-            if (fm < 0.0) == neg[r]:
-                a[r] = mid
+            if (fm < 0.0) == neg[j]:
+                a[j] = mid
             else:
-                b[r] = mid
-            todo.append(r)
-        if not todo:
-            break
-        if 4 * len(todo) <= 3 * len(ids):
-            ids, a, b, neg = ([x[r] for r in todo] for x in (ids, a, b, neg))
-            probes = _GapProbes(ms[ids], ks[ids], w, conts[ids])
-            todo = list(range(len(ids)))
-    for r in todo:
-        q[ids[r]] = 0.5 * (a[r] + b[r])
+                b[j] = mid
+            steps[j] += 1
+            todo.append(j)
+        if todo and 4 * len(todo) <= 3 * len(block):
+            block = todo
+            pmf = probes._pmf.take([row[j] for j in block])
+            probes = _GapProbes(ms[block], ks[block], w, conts[block], pmf)
+            for r, j in enumerate(block):
+                row[j] = r
     return np.array(q), np.array(gap), np.array(enter)
 
 

@@ -536,7 +536,9 @@ class TestBernsteinCertificate:
         return line + rng.normal(0.0, 0.05 * (1 + line.max()), m) ** 3  # near-zero gammas
 
     def assert_class(self, m, k, w, cont):
+        """The state's number of gamma sign changes, and whether its replay was checked."""
         cont = np.asarray(cont, dtype=float)
+        replayed = False
         changes, neg0, slack = self._classify(m, k, w, cont)
         result, cells = _scan(m, k, w, cont)
         if changes == 0:
@@ -545,30 +547,34 @@ class TestBernsteinCertificate:
             assert result == want, (m, k, w)
         elif changes == 1:
             assert result[2] == 1 and len(cells) == 1, (m, k, w)
-            got = eqsolver._root_cells(
-                np.array([m]), np.array([k]), w, cont[None, :], np.array([neg0]),
-                np.array([slack]), UPPER,
+            got, cert = eqsolver._enclose(
+                np.array([m]), np.array([k]), w, cont[None, :], np.array([cont.max()]),
+                np.array([neg0]), np.array([slack]), UPPER,
             )
             assert got[0] in (-1, cells[0]), (m, k, w)
             if got[0] >= 0:
                 q, gap, enter = eqsolver._bisect_lockstep(
                     np.array([m]), np.array([k]), w, cont[None, :], UPPER[got], UPPER[got + 1],
-                    np.array([neg0]), eqsolver.DEFAULT_TOL,
+                    np.array([neg0]), eqsolver.DEFAULT_TOL, cert,
                 )
                 if not math.isnan(gap[0]):
                     assert (q[0], enter[0], 1, gap[0]) == result, (m, k, w)
-        return changes
+                    replayed = True
+        return changes, replayed
 
     def test_random_continuations(self):
         rng = np.random.default_rng(19)
-        seen = {}
+        seen, replayed = {}, 0
         for case in range(1800):
             w = self.WS[case % len(self.WS)]
             m, k = int(rng.integers(2, 61)), int(rng.integers(1, 6))
-            changes = self.assert_class(m, k, w, self._random_cont(rng, m, k, w))
+            changes, checked = self.assert_class(m, k, w, self._random_cont(rng, m, k, w))
             seen[min(changes, 2)] = seen.get(min(changes, 2), 0) + 1
+            replayed += checked
         assert set(seen) == {-1, 0, 1, 2}, seen
         assert seen[1] >= 200, seen
+        # certified states whose lockstep replay was checked against the scan
+        assert replayed >= 200, replayed
 
     def test_built_cases(self):
         w, k, m = 3.0, 1, 31
@@ -720,3 +726,198 @@ class TestDiagonalSolver:
                 TestRowCertificate._assert_same(solve_equilibrium(params), want)
             finally:
                 eqsolver._LOCKSTEP_MIN = old
+
+
+def _exact_gap(m, k, w, cont, q):
+    """The gap at (m, k >= 1) and a float q in (0, 1), in mpmath at 50 digits."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        d, q = m - 1, mpmath.mpf(q)
+        ratio, p, wait = q / (1 - q), (1 - q) ** d, mpmath.mpf(1)
+        for i, c in enumerate(np.asarray(cont, dtype=float).tolist()):
+            wait += p * c
+            p = p * (d - i) / (i + 1) * ratio
+        return mpmath.mpf(d) / 2 * q * w + k * w - wait
+
+
+class TestRoundingBound:
+    """E bounds every computed gap against the exact one, in both log families."""
+
+    def test_against_mpmath(self):
+        import mpmath
+
+        rng = np.random.default_rng(21)
+        edge_qs = (1e-300, 1e-12, 0.5, 1.0 - 2.0**-52)
+        worst = 0.0
+        for case in range(2000):
+            w = (1.01, 3.0, 100.0, 1e18)[case % 4]
+            m = int(np.exp(rng.uniform(math.log(2), math.log(401))))  # log-uniform on 2..400
+            k = int(rng.integers(1, 401))
+            cont = rng.uniform(0.0, float(rng.choice([1.0, m + k, w * (m + k)])), m)
+            if case % 50 == 0:
+                q = edge_qs[case // 50 % 4]
+            else:
+                q = float(10.0 ** rng.uniform(-16, 0)) if case % 2 else float(rng.uniform(1e-9, 1.0))
+            bound = eqsolver._rounding_bound(
+                np.array([m]), np.array([k]), w, np.array([cont.max()])
+            )[0]
+            rows = eqsolver._BinomRows(m, 64, UPPER)
+            ev = eqsolver._GapEvaluator(rows, k, w, cont)
+            qs = np.array([q])
+            got = (
+                ev.probe(q)[0],  # math.log rows and one dot, as _GapProbes
+                float(ev.gap(qs, rows.pmf.rows(qs))[0]),  # np.log rows, the scan's product
+                float(
+                    eqsolver._rough_gaps(
+                        eqsolver._Pmf.padded(np.array([m - 1])), np.array([k]), w, cont[None, :], qs
+                    )[0]
+                ),
+            )
+            exact = _exact_gap(m, k, w, cont, q)
+            for gap in got:
+                err = float(abs(mpmath.mpf(gap) - exact))
+                assert err <= bound, (m, k, w, q, err, bound)
+                worst = max(worst, err / bound)
+        assert worst > 1e-4, worst  # the bound is not vacuous
+
+
+def _monotone_batch(rng, w, size, m_max):
+    """k >= 1 states whose gamma is strictly monotone with one sign change."""
+    ms = rng.integers(2, m_max + 1, size)
+    ks = rng.integers(1, 12, size)
+    conts = np.zeros((size, ms.max()))
+    for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist())):
+        x = np.arange(m) / (m - 1)
+        # gamma near a line, as in the game, so that most enclosures hold
+        f = x + (0.0, 1e-6, 1e-3, 0.1)[j % 4] * np.sin(3.0 * x)
+        x0 = rng.uniform(0.05, 0.95)
+        at = float(np.interp(x0, x, f))
+        line = k * w + w * np.arange(m) / 2.0 - 1.0
+        gamma = (1 if j % 3 else -1) * rng.uniform(0.05, 0.45) * (k * w - 1.0) * (f - at)
+        conts[j, :m] = line - gamma
+    return ms, ks, conts
+
+
+def _exact_root(m, k, w, cont, a, b):
+    """Adjacent floats around the exact root in [a, b], whose exact gaps differ in sign."""
+    neg = _exact_gap(m, k, w, cont, a) < 0
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return a, b
+        if (_exact_gap(m, k, w, cont, mid) < 0) == neg:
+            a = mid
+        else:
+            b = mid
+
+
+class TestCertifiedReplay:
+    """``_bisect_lockstep`` with ``_enclose``'s certificates against ``_bisect`` (==)."""
+
+    TOL = eqsolver.DEFAULT_TOL
+
+    def _assert_replay(self, ms, ks, w, conts, cells, neg0, cert):
+        q, gap, enter = eqsolver._bisect_lockstep(
+            ms, ks, w, conts, UPPER[cells], UPPER[cells + 1], neg0, self.TOL, cert
+        )
+        for j, m in enumerate(ms.tolist()):
+            ev = eqsolver._GapEvaluator(
+                eqsolver._BinomRows(m, 64, UPPER), int(ks[j]), w, conts[j, :m].copy()
+            )
+            fa = -1.0 if neg0[j] else 1.0
+            a, b = float(UPPER[cells[j]]), float(UPPER[cells[j] + 1])
+            want_q, want_gap = eqsolver._bisect(ev, a, b, fa, -fa, self.TOL)
+            assert q[j] == want_q, j
+            if math.isnan(gap[j]):
+                assert ev.probe(want_q)[0] == want_gap
+            else:
+                assert (gap[j], enter[j]) == (want_gap, ev.enter(want_q)), j
+
+    # these brackets stop after 16 to 30 steps, so at 24 many run out of
+    # steps after both skipped and probed ones
+    @pytest.mark.parametrize("rounds", [eqsolver._MAX_BISECT, 3, 24])
+    @pytest.mark.parametrize("w", [1.01, 3.0, 100.0, 1e18])
+    def test_against_scalar_bisect(self, w, rounds, monkeypatch):
+        monkeypatch.setattr(eqsolver, "_MAX_BISECT", rounds)
+        rng = np.random.default_rng(int(w) + rounds)
+        ms, ks, conts = _monotone_batch(rng, w, 60, 120)
+        cmax = conts.max(axis=1)
+        changes, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
+        assert (changes == 1).all()
+        cells, cert = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        held = cells >= 0
+        assert held.sum() >= 30, held.sum()
+        for j in np.flatnonzero(held).tolist():  # the scan bisects the same cell
+            m = int(ms[j])
+            assert _scan(m, int(ks[j]), w, conts[j, :m])[1] == [cells[j]]
+        self._assert_replay(
+            ms[held], ks[held], w, conts[held], cells[held], neg0[held],
+            tuple(x[held] for x in cert),
+        )
+
+    @pytest.mark.parametrize("rounds", [eqsolver._MAX_BISECT, 3])
+    def test_roots_in_doubt(self, rounds, monkeypatch):
+        # certificates whose ends lie within the doubt radius E/L of the
+        # exact root: the replay stays bit for bit
+        monkeypatch.setattr(eqsolver, "_MAX_BISECT", rounds)
+        rng = np.random.default_rng(5)
+        w = 3.0
+        ms, ks, conts = _monotone_batch(rng, w, 16, 40)
+        cmax = conts.max(axis=1)
+        _, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
+        cells, cert = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        held = cells >= 0
+        assert held.sum() >= 8, held.sum()
+        ms, ks, conts, cells, neg0 = ms[held], ks[held], conts[held], cells[held], neg0[held]
+        lo, hi, slope, bound = (x[held] for x in cert)
+        radius = bound / slope
+        roots = np.array([
+            _exact_root(int(m), int(k), w, conts[j, :m], lo[j], hi[j])
+            for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist()))
+        ]).T
+        assert (hi - lo > radius).all() and (np.nextafter(roots[0], 1.0) == roots[1]).all()
+        for near_lo, near_hi in ((0.0, 0.0), (0.01, 0.99), (0.99, 0.5), (0.5, 0.01)):
+            cert = (roots[0] - near_lo * radius, roots[1] + near_hi * radius, slope, bound)
+            self._assert_replay(ms, ks, w, conts, cells, neg0, cert)
+
+    def test_roots_near_grid_points(self):
+        # roots moved within the doubt radius of a scan-grid point: an
+        # enclosure that holds the point is refused, one that does not has
+        # the scan's cell, and a replay from the scan's own cell with an
+        # exact certificate stays bit for bit
+        rng = np.random.default_rng(7)
+        w = 3.0
+        ms, ks, conts = _monotone_batch(rng, w, 12, 40)
+        cmax = conts.max(axis=1)
+        _, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
+        _, (_, _, slope, bound) = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        moved = conts.copy()
+        grid_at = rng.integers(40, len(UPPER) - 40, len(ms))
+        for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist())):
+            shift = float(_exact_gap(m, k, w, conts[j, :m], float(UPPER[grid_at[j]])))
+            shift -= (j % 5 - 2) * 0.2 * float(bound[j])  # root within 0.4 E/L of the point
+            moved[j, :m] += shift
+        cmax = moved.max(axis=1)
+        changes, neg0, slack = eqsolver._gamma_signs(ms, ks, w, moved, cmax)
+        one = changes == 1
+        assert one.sum() >= 8, one.sum()
+        ms, ks, moved, grid_at = ms[one], ks[one], moved[one], grid_at[one]
+        neg0, slack, cmax = neg0[one], slack[one], cmax[one]
+        got, (lo, hi, slope, bound) = eqsolver._enclose(
+            ms, ks, w, moved, cmax, neg0, slack, UPPER
+        )
+        g = UPPER[grid_at]
+        assert ((got < 0) == (np.isnan(lo) | ((lo < g) & (g < hi)))).all()
+        assert (got < 0).sum() >= 4
+        cells = np.array([
+            _scan(int(m), int(k), w, moved[j, :m])[1][0]
+            for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist()))
+        ])
+        assert (cells[got >= 0] == got[got >= 0]).all()
+        roots = np.array([
+            _exact_root(int(m), int(k), w, moved[j, :m], g[j] * (1 - 1e-6), g[j] * (1 + 1e-6))
+            for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist()))
+        ]).T
+        assert (np.abs(roots[0] - g) < bound / slope).all()
+        self._assert_replay(ms, ks, w, moved, cells, neg0, (roots[0], roots[1], slope, bound))
