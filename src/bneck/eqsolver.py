@@ -32,22 +32,22 @@ By the variation-diminishing property the gap has at most as many roots in
 With every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
   - no sign change gives the no-entry or all-enter tuple the scan would;
   - one sign change gives one root r.  If the diagonal has at least
-    ``_LOCKSTEP_MIN`` such states, they are settled together:
+    ``_LOCKSTEP_MIN`` such states, they are settled together, and one
+    ``_GapProbes`` evaluator, the exact probe batched over the diagonal's
+    single-root states, makes every probe of the enclosures and replays:
       - certificate: when gamma is strictly monotone, so is the gap g, and
         |g(q)| >= L*|q - r| with L = (m-1) * (min |gamma step| - slack).
         ``_rounding_bound`` gives E, a bound on the rounding of any gap
         the package computes;
-      - enclosure (``_enclose``): batched ``np.log`` probes on both sides
-        of the point where gamma's control polygon crosses 0, moved by
-        secant steps until both clear E with opposite signs, put r in
-        [lo, hi].  Then every scan gap outside [lo, hi] has g's sign, so
-        when [lo, hi] lies in one cell of the k >= 1 scan grid, the scan
-        would bisect that cell;
+      - enclosure (``_enclose``): probes on both sides of the point where
+        gamma's control polygon crosses 0, moved by secant steps until
+        both clear E with opposite signs, put r in [lo, hi].  Then every
+        scan gap outside [lo, hi] has g's sign, so when [lo, hi] lies in
+        one cell of the k >= 1 scan grid, the scan would bisect that cell;
       - replay (``_bisect_lockstep``): ``_bisect``'s midpoints, exit, stop
         test and step count, bracket by bracket.  A midpoint farther than
         (tol*max(1, enter) + E) / L from [lo, hi] takes its branch without
-        a probe; every other gets the exact probe, batched by
-        ``_GapProbes``;
+        a probe; every other gets the exact probe;
       - fallback: a state whose gamma is not strictly monotone, whose
         enclosure fails or whose cell is in doubt goes to the scan.
 Every other k >= 1 state goes to ``_scan_state``, whose binomial matrix
@@ -176,14 +176,15 @@ class _BinomRows:
 class _GapEvaluator:
     """Vectorized enter-wait gap for one state against fixed continuations."""
 
-    def __init__(self, rows: _BinomRows, k: int, w: float, cont: np.ndarray):
-        # cont[i] = continuation cost at (m-i, k+i-1); cont[0] unused for k=0
-        self.m, self.k, self.w = rows.m, k, w
+    def __init__(self, pmf: _Pmf, k: int, w: float, cont: np.ndarray):
+        # pmf: the state's Binomial(m-1, q) pmf; cont[i] = continuation cost
+        # at (m-i, k+i-1); cont[0] unused for k=0
+        self.m, self.k, self.w = pmf.m + 1, k, w
         self.cont = cont
-        self._half = (rows.m - 1) / 2.0
+        self._half = pmf.m / 2.0
         self._kw = k * w
         self._tail = cont[1:]
-        self._pmf = rows.pmf
+        self._pmf = pmf
 
     def enter(self, qs: np.ndarray) -> np.ndarray:
         return self._half * qs * self.w + self._kw
@@ -268,7 +269,7 @@ def _scan_state(
     Cases (a) to (c) of the module docstring, by scan and bisection.
     """
     m = rows.m
-    ev = _GapEvaluator(rows, k, w, cont)
+    ev = _GapEvaluator(rows.pmf, k, w, cont)
     if k == 0:
         grid = _scan_grid(k, _lower_end(ev)[0], rows.grid_points)
         gaps = ev.gap(grid, rows.pmf.rows(grid))
@@ -329,7 +330,7 @@ def _empty_queue_state(
     if not changes:
         c1 = (m - 1) / 2.0 * 1.0 * w + 0.0  # enter cost at q = 1
         return 1.0, c1, 0, c1 - (1.0 + cont[-1])
-    ev = _GapEvaluator(rows, 0, w, cont)
+    ev = _GapEvaluator(rows.pmf, 0, w, cont)
     grid = _scan_grid(0, _lower_end(ev)[0], rows.grid_points)
 
     def sign(at: int) -> int:
@@ -444,7 +445,7 @@ def _solve_diagonal(
     cmax = np.maximum.accumulate(prev[1:])[ms - 1]  # the largest continuation cost
     cols = np.flatnonzero(~_certifies_no_entry(t - ms, w, cmax))
     if len(cols) >= _LOCKSTEP_MIN:
-        cols = _settle_open(out, cols, prev, w, cmax[cols], upper_grid, grid_points, tol)
+        cols = _settle_open(out, cols, prev, w, cmax[cols], upper_grid, tol)
     last = scans.copy()
     scans.clear()
     for m in (np.append(cols, t - 2) + 2).tolist():
@@ -466,7 +467,6 @@ def _settle_open(
     w: float,
     cmax: np.ndarray,
     upper_grid: np.ndarray,
-    grid_points: int,
     tol: float,
 ) -> np.ndarray:
     """Settle the uncertified k >= 1 states ``cols`` of ``_solve_diagonal`` that gamma's signs allow.
@@ -475,8 +475,9 @@ def _settle_open(
     scan.  With every gamma[i] clear of 0 (``_gamma_signs``), a state
     with no sign change has no root and one with one sign change exactly
     one.  When there are at least ``_LOCKSTEP_MIN`` single-root states,
-    those that ``_enclose`` certifies are bisected in lockstep; the
-    scan decides the rest, and every state when there are fewer.
+    those that ``_enclose`` certifies are bisected in lockstep, both
+    probing through one ``_GapProbes`` of the single-root states; the scan
+    decides the rest, and every state when there are fewer.
     """
     t = len(prev)
     ms = cols + 2
@@ -492,22 +493,20 @@ def _settle_open(
     one = np.flatnonzero(changes == 1)
     if len(one) < _LOCKSTEP_MIN:
         return cols[changes != 0]
-    pmf = _Pmf.padded(ms[one] - 1)
-    cells, cert = _enclose(
-        ms[one], ks[one], w, conts[one], cmax[one], neg0[one], slack[one], upper_grid, pmf
-    )
+    probes = _GapProbes(ms[one], ks[one], w, conts[one])
+    cells, cert = _enclose(probes, cmax[one], neg0[one], slack[one], upper_grid)
     changes[one[cells < 0]] = -1
-    held = cells >= 0
-    one, cells, cert = one[held], cells[held], tuple(x[held] for x in cert)
-    if len(one):
+    held = np.flatnonzero(cells >= 0)
+    if len(held):
+        cells, one = cells[held], one[held]
         q, gap, enter = _bisect_lockstep(
-            ms[one], ks[one], w, conts[one], upper_grid[cells], upper_grid[cells + 1],
-            neg0[one], tol, cert, pmf.take(held),
+            probes, held, upper_grid[cells], upper_grid[cells + 1], neg0[one], tol,
+            tuple(x[held] for x in cert),
         )
         # a bracket the lockstep left open gets its last probe, as _bisect's does
         for j in np.flatnonzero(np.isnan(gap)).tolist():
             m = int(ms[one[j]])
-            ev = _GapEvaluator(_BinomRows(m, grid_points, upper_grid), t - m, w, conts[one[j], :m])
+            ev = _GapEvaluator(_Pmf(m - 1), t - m, w, conts[one[j], :m])
             gap[j], enter[j] = ev.probe(float(q[j]))
         out[:, cols[one]] = q, enter, np.ones(len(one)), gap
     return cols[(changes < 0) | (changes > 1)]
@@ -541,10 +540,10 @@ def _gamma_signs(
 def _rounding_bound(ms: np.ndarray, ks: np.ndarray, w: float, cmax: np.ndarray) -> np.ndarray:
     """E: a bound on |computed gap - exact gap| at any q of [0, 1], per k >= 1 state.
 
-    It holds for every way the package computes the gap: a scalar or
+    It holds for both ways the package computes the gap: a scalar or
     batched probe (``math.log`` logs, one ``ndarray.dot`` per row) and a
-    scan or ``_enclose`` row (``np.log`` logs, a matrix or einsum
-    product).  With u = 2^-53, degree d = m - 1 and p the exact pmf:
+    scan (``np.log`` logs, a matrix product).  With u = 2^-53, degree
+    d = m - 1 and p the exact pmf:
       - lgamma, log, log1p and exp are taken to err by at most 4 ulps
         (8u relative).  Through the two subtractions of log C(d, i) and the
         four ``log_into`` operations, log p_i errs by at most
@@ -569,38 +568,35 @@ def _rounding_bound(ms: np.ndarray, ks: np.ndarray, w: float, cmax: np.ndarray) 
 
 
 def _enclose(
-    ms: np.ndarray,
-    ks: np.ndarray,
-    w: float,
-    conts: np.ndarray,
+    probes: _GapProbes,
     cmax: np.ndarray,
     neg0: np.ndarray,
     slack: np.ndarray,
     grid: np.ndarray,
-    pmf=None,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Each single-root k >= 1 state's cell of ``grid`` and its certificate, or cell -1.
+    """Each single-root state's cell of ``grid`` and its certificate, or cell -1.
 
     When gamma is strictly monotone, with every step clear of the slack
     that covers its rounding, the gap g is monotone on [0, 1] with slope
     at least L = (m-1)*(min |step| - slack), so |g(q)| >= L*|q - r| at its
     root r.  From the point q0 where gamma's control polygon
     (i/(m-1), gamma[i]) crosses 0, the ends of [q0 - eps, q0 + eps] are
-    probed with batched ``np.log`` rows, as the scan's are.  Until both
-    ends have opposite signs farther than E (``_rounding_bound``) from 0,
-    q0 moves to the secant root of the two gaps and eps widens; then r
-    lies in the enclosure [lo, hi].
+    probed through ``probes``.  Until both ends have opposite signs
+    farther than E (``_rounding_bound``) from 0, q0 moves to the secant
+    root of the two gaps and eps widens; then r lies in the enclosure
+    [lo, hi].  An end outside (0, 1) only moves farther out, so its state
+    is dropped.
     As E is twice the rounding of any computed gap, |g| exceeds that
     rounding at both ends, and, g being monotone, at every q outside
     [lo, hi].  So when no point of ``grid`` lies strictly inside [lo, hi],
     every scan gap has g's sign, and the scan finds the cell that holds
-    [lo, hi].  Returns the cells and (lo, hi, L, E), for
-    ``_bisect_lockstep``.
+    [lo, hi].  Returns the cells and (lo, hi, L, E), per row of
+    ``probes``, for ``_bisect_lockstep``.
     """
+    ms, ks, w = probes.ms, probes.ks, probes.w
     d = ms - 1
     size, width = len(ms), int(ms.max())
-    conts = conts[:, :width]
-    gamma = _gamma(ks, w, conts)
+    gamma = _gamma(ks, w, probes.conts[:, :width])
     # gamma rises where the gap is negative at 0, and falls elsewhere
     steps = np.diff(gamma, axis=1) * np.where(neg0, 1.0, -1.0)[:, None]
     rise = np.where(np.arange(1, width) < ms[:, None], steps, np.inf).min(axis=1)
@@ -612,24 +608,23 @@ def _enclose(
     bound = _rounding_bound(ms, ks, w, cmax)
     lo, hi = np.full(size, math.nan), np.full(size, math.nan)
     todo = np.flatnonzero(slope > 0.0)
-    pmf = _Pmf.padded(d) if pmf is None else pmf
     # ends 2E/L from the root have |g| >= 2E, so they clear E once computed
     eps = 2.0 * bound[todo] / slope[todo] + 4.0 * _U * q0[todo]
     for _ in range(_ENCLOSE_TRIES):
-        if not len(todo):
-            break
-        sub = pmf if len(todo) == size else pmf.take(todo)
         ends = q0[todo] - eps, q0[todo] + eps
         inside = (ends[0] > 0.0) & (ends[1] < 1.0)
-        ok, gaps = inside, []
+        todo, eps, ends = todo[inside], eps[inside], (ends[0][inside], ends[1][inside])
+        if not len(todo):
+            break
+        ok, gaps = True, []
         for end, below in zip(ends, (neg0[todo], ~neg0[todo])):
-            gaps.append(_rough_gaps(sub, ks[todo], w, conts[todo], end))
+            gaps.append(np.array(probes(todo.tolist(), end.tolist())[0]))
             ok = ok & ((gaps[-1] < 0.0) == below) & (np.abs(gaps[-1]) > bound[todo])
         lo[todo[ok]], hi[todo[ok]] = ends[0][ok], ends[1][ok]
         # a failed try moves q0 to the secant root of its two gaps
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = ends[1] - gaps[1] * (ends[1] - ends[0]) / (gaps[1] - gaps[0])
-        moved = inside & (guess > 0.0) & (guess < 1.0)
+        moved = (guess > 0.0) & (guess < 1.0)
         q0[todo[moved]] = guess[moved]
         todo, eps = todo[~ok], eps[~ok] * _WIDEN
     cells = np.full(size, -1)
@@ -640,22 +635,6 @@ def _enclose(
     return cells, (lo, hi, slope, bound)
 
 
-def _rough_gaps(
-    pmf: _Pmf, ks: np.ndarray, w: float, conts: np.ndarray, qs: np.ndarray
-) -> np.ndarray:
-    """The gap of each state of a padded ``pmf`` at its q of ``qs``, in (0, 1), within E.
-
-    The rows take ``np.log`` logs, and their entries below e^-700 count as
-    e^-700 (``_rounding_bound`` covers that; ``np.exp`` is slow on the
-    subnormals and zeros it would give them).  One einsum sums them.
-    """
-    logv, rows = np.empty(pmf._i.shape), np.empty(pmf._i.shape)
-    pmf.log_into(*_Pmf.log_columns(qs), logv, rows)
-    np.exp(np.maximum(logv, -700.0, out=logv), rows)
-    cont = np.einsum("ij,ij->i", rows, conts[:, : rows.shape[1]])
-    return pmf.m / 2.0 * qs * w + ks * w - (1.0 + cont)
-
-
 class _GapProbes:
     """``_GapEvaluator.probe`` for a batch of k >= 1 states, bit for bit.
 
@@ -664,16 +643,18 @@ class _GapProbes:
     ``log_into`` and ``_exp_into``.  Each row is dotted with its state's
     continuation on its own, and the enter cost and the gap follow in the
     probe's scalar arithmetic.  Row j of ``conts`` holds state j's
-    continuation in its first m slots.  ``pmf``, if given, is the padded
-    ``_Pmf`` of ms - 1.
+    continuation in its first m slots.  A diagonal's single-root states
+    share one: ``_enclose`` and ``_bisect_lockstep`` name a state by its
+    row, and a call computes the whole block.
     """
 
-    def __init__(self, ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray, pmf=None):
-        self._pmf = _Pmf.padded(ms - 1) if pmf is None else pmf
+    def __init__(self, ms: np.ndarray, ks: np.ndarray, w: float, conts: np.ndarray):
+        self.ms, self.ks, self.w, self.conts = ms, ks, w, conts
+        self._pmf = _Pmf.padded(ms - 1)
         self._logv, self._rows = np.empty(self._pmf._i.shape), np.empty(self._pmf._i.shape)
         sizes = ms.tolist()
         self._dots = [(self._rows[j, :m].dot, conts[j, :m]) for j, m in enumerate(sizes)]
-        self._half, self._kw, self._w = ((ms - 1) / 2.0).tolist(), (ks * w).tolist(), w
+        self._half, self._kw = ((ms - 1) / 2.0).tolist(), (ks * w).tolist()
         # log q and log(1-q) per row; a row without a probe keeps its last
         self._lq, self._l1q = [_LOG_HALF] * len(sizes), [_LOG_HALF] * len(sizes)
 
@@ -684,7 +665,7 @@ class _GapProbes:
             lq[r], l1q[r] = math.log(q), math.log1p(-q)
         lq, l1q = np.array(lq)[:, None], np.array(l1q)[:, None]
         _exp_into(self._pmf.log_into(lq, l1q, self._logv, self._rows), self._rows)
-        half, kw, w, dots = self._half, self._kw, self._w, self._dots
+        half, kw, w, dots = self._half, self._kw, self.w, self._dots
         gap, enter = [], []
         for r, q in zip(rows, qs):
             e = half[r] * q * w + kw[r]
@@ -695,34 +676,30 @@ class _GapProbes:
 
 
 def _bisect_lockstep(
-    ms: np.ndarray,
-    ks: np.ndarray,
-    w: float,
-    conts: np.ndarray,
+    probes: _GapProbes,
+    rows: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
     neg: np.ndarray,
     tol: float,
     cert=None,
-    pmf=None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_bisect`` on a batch of k >= 1 brackets at once, bit for bit.
 
+    Bracket j belongs to the state in row ``rows[j]`` of ``probes``.
     ``neg`` is the sign of the gap at each left end, which ``_bisect``
     never changes.  ``cert`` is ``_enclose``'s (lo, hi, L, E) per bracket,
     or None: the gap's root lies in [lo, hi], the gap has the left end's
     sign below lo and the other above hi, |gap(q)| >= L*dist(q, [lo, hi]),
-    and a probe errs by at most E.  ``pmf`` is the padded ``_Pmf`` of
-    ms - 1, if the caller has it.  Each bracket walks ``_bisect``'s
+    and a probe errs by at most E.  Each bracket walks ``_bisect``'s
     midpoints, its ``mid <= a or mid >= b`` exit, its stop test and its
     ``_MAX_BISECT`` steps.  A midpoint with L*dist > tol*max(1, enter) + E
     cannot pass the stop test and has a known sign, so it takes its branch
     without a probe, and the step counts.  Every other midpoint (all of
-    them where L = 0) waits for the round's one ``_GapProbes`` call; the
-    block shrinks to the open brackets once a quarter of its rows are
-    closed.  Returns q, gap and enter cost per bracket.  A bracket that ran
-    out of steps or midpoints has its last midpoint as q and a nan gap and
-    enter cost, for a scalar probe to fill in.
+    them where L = 0) waits for the round's one ``probes`` call.  Returns
+    q, gap and enter cost per bracket.  A bracket that ran out of steps or
+    midpoints has its last midpoint as q and a nan gap and enter cost, for
+    a scalar probe to fill in.
     """
     size = len(a)
     q, gap, enter = np.full((3, size), math.nan).tolist()
@@ -733,13 +710,12 @@ def _bisect_lockstep(
     if cert is not None:
         lo, hi, slope, bound = cert
         sure = slope > 0.0
+        ms, ks, w = probes.ms[rows], probes.ks[rows], probes.w
         r = (tol * np.maximum(1.0, (ms - 1) / 2.0 * b * w + ks * w) + bound)[sure] / slope[sure]
         low[sure], high[sure] = lo[sure] - r, hi[sure] + r
-    a, b, neg, low, high = (x.tolist() for x in (a, b, neg, low, high))
+    a, b, neg, low, high, rows = (x.tolist() for x in (a, b, neg, low, high, rows))
     steps, top = [0] * size, _MAX_BISECT
-    block = todo = list(range(size))  # block: the brackets on the probe block's rows
-    row = list(range(size))  # each block bracket's row
-    probes = _GapProbes(ms, ks, w, conts, pmf)
+    todo = list(range(size))
     while todo:
         at, mids = [], []
         for j in todo:
@@ -763,7 +739,7 @@ def _bisect_lockstep(
         if not at:
             break
         todo = []
-        for j, mid, fm, e in zip(at, mids, *probes([row[j] for j in at], mids)):
+        for j, mid, fm, e in zip(at, mids, *probes([rows[j] for j in at], mids)):
             if abs(fm) <= tol * max(1.0, abs(e)):
                 q[j], gap[j], enter[j] = mid, fm, e
                 continue
@@ -773,12 +749,6 @@ def _bisect_lockstep(
                 b[j] = mid
             steps[j] += 1
             todo.append(j)
-        if todo and 4 * len(todo) <= 3 * len(block):
-            block = todo
-            pmf = probes._pmf.take([row[j] for j in block])
-            probes = _GapProbes(ms[block], ks[block], w, conts[block], pmf)
-            for r, j in enumerate(block):
-                row[j] = r
     return np.array(q), np.array(gap), np.array(enter)
 
 

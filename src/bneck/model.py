@@ -391,14 +391,6 @@ class _Pmf:
         self._logc = np.where(inside, lf[d] - lf - lf[self._rest.astype(np.intp)], 0.0)
         return self
 
-    def take(self, rows) -> "_Pmf":
-        """The rows ``rows`` of a ``padded`` block, trimmed to their largest degree."""
-        out = _Pmf.__new__(_Pmf)
-        out.m = self.m[rows]
-        width = int(out.m.max()) + 1
-        out._i, out._rest, out._logc = (a[rows, :width] for a in (self._i, self._rest, self._logc))
-        return out
-
     def log_into(self, lq, l1q, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
         """The log-pmf into ``out``, using ``tmp``.
 

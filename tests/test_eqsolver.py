@@ -79,8 +79,8 @@ class TestGapProbeBitIdentity:
                 m = int(rng.integers(2, 61))
                 k = int(rng.integers(0, 4)) if rng.uniform() < 0.7 else 0
                 cont = self._continuation(rng, m, k)
-                rows = eqsolver._BinomRows(m, 64, eqsolver._scan_grid(1, eqsolver._SCAN_LO, 64))
-                ev = eqsolver._GapEvaluator(rows, k, w, _successor_values(cont, m, k))
+                pmf = eqsolver._Pmf(m - 1)
+                ev = eqsolver._GapEvaluator(pmf, k, w, _successor_values(cont, m, k))
                 qs = [1.0, 1e-300, 3e-300, 1e-200, 1e-12] + rng.uniform(0.0, 1.0, 6).tolist()
                 if k >= 1:
                     qs.append(0.0)
@@ -499,7 +499,7 @@ def _scan(m, k, w, cont, policy=RootPolicy.SMALLEST_Q):
     """``_scan_state``'s tuple and the sign-change cells of its scan gaps."""
     rows = eqsolver._BinomRows(m, eqsolver.DEFAULT_GRID_POINTS, UPPER)
     result = eqsolver._scan_state(rows, k, w, cont, policy, eqsolver.DEFAULT_TOL)
-    gaps = eqsolver._GapEvaluator(rows, k, w, cont).gap(UPPER, rows.scan()[1])
+    gaps = eqsolver._GapEvaluator(rows.pmf, k, w, cont).gap(UPPER, rows.scan()[1])
     with np.errstate(over="ignore"):
         cells = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0).tolist()
     return result, cells
@@ -547,15 +547,15 @@ class TestBernsteinCertificate:
             assert result == want, (m, k, w)
         elif changes == 1:
             assert result[2] == 1 and len(cells) == 1, (m, k, w)
+            probes = eqsolver._GapProbes(np.array([m]), np.array([k]), w, cont[None, :])
             got, cert = eqsolver._enclose(
-                np.array([m]), np.array([k]), w, cont[None, :], np.array([cont.max()]),
-                np.array([neg0]), np.array([slack]), UPPER,
+                probes, np.array([cont.max()]), np.array([neg0]), np.array([slack]), UPPER
             )
             assert got[0] in (-1, cells[0]), (m, k, w)
             if got[0] >= 0:
                 q, gap, enter = eqsolver._bisect_lockstep(
-                    np.array([m]), np.array([k]), w, cont[None, :], UPPER[got], UPPER[got + 1],
-                    np.array([neg0]), eqsolver.DEFAULT_TOL, cert,
+                    probes, np.array([0]), UPPER[got], UPPER[got + 1], np.array([neg0]),
+                    eqsolver.DEFAULT_TOL, cert,
                 )
                 if not math.isnan(gap[0]):
                     assert (q[0], enter[0], 1, gap[0]) == result, (m, k, w)
@@ -620,10 +620,7 @@ class TestBernsteinCertificate:
         cmax = np.maximum.accumulate(prev[1:])[ms - 1]
         cols = np.flatnonzero(~eqsolver._certifies_no_entry(t - ms, w, cmax))
         out = np.zeros((4, t - 1))
-        left = eqsolver._settle_open(
-            out, cols, prev, w, cmax[cols], UPPER, eqsolver.DEFAULT_GRID_POINTS,
-            eqsolver.DEFAULT_TOL,
-        )
+        left = eqsolver._settle_open(out, cols, prev, w, cmax[cols], UPPER, eqsolver.DEFAULT_TOL)
         for col in cols.tolist():
             m = col + 2
             changes = self._classify(m, t - m, w, prev[m:0:-1])[0]
@@ -653,8 +650,9 @@ class TestGapProbes:
                     gaps, enters = probes(rows, qs)
                     for r, q, gap, enter in zip(rows, qs, gaps, enters):
                         m = int(ms[r])
-                        rows_m = eqsolver._BinomRows(m, 64, UPPER)
-                        ev = eqsolver._GapEvaluator(rows_m, int(ks[r]), w, conts[r, :m].copy())
+                        ev = eqsolver._GapEvaluator(
+                            eqsolver._Pmf(m - 1), int(ks[r]), w, conts[r, :m].copy()
+                        )
                         assert (gap, enter) == ev.probe(q), (m, q, w)
                         cases += 1
         assert cases >= 500
@@ -680,11 +678,12 @@ class TestBisectLockstep:
         b = a + rng.uniform(1e-9, 0.1, size)
         b[:4] = np.nextafter(a[:4], 1.0)  # no midpoint strictly inside
         neg = rng.uniform(size=size) < 0.5
-        q, gap, enter = eqsolver._bisect_lockstep(ms, ks, w, conts, a, b, neg, tol)
+        probes = eqsolver._GapProbes(ms, ks, w, conts)
+        q, gap, enter = eqsolver._bisect_lockstep(probes, np.arange(size), a, b, neg, tol)
         left_open = 0
         for j, m in enumerate(ms.tolist()):
             ev = eqsolver._GapEvaluator(
-                eqsolver._BinomRows(m, 64, UPPER), int(ks[j]), w, conts[j, :m].copy()
+                eqsolver._Pmf(m - 1), int(ks[j]), w, conts[j, :m].copy()
             )
             fa = -1.0 if neg[j] else 1.0
             want_q, want_gap = eqsolver._bisect(ev, float(a[j]), float(b[j]), fa, -fa, tol)
@@ -710,6 +709,19 @@ class TestDiagonalSolver:
     @pytest.mark.parametrize("policy", list(RootPolicy))
     @pytest.mark.parametrize("w", [1 + 1e-12, 1.01, 2 - 1e-12, 2 + 1e-12])
     def test_n60_near_w_edges(self, w, policy):
+        params = GameParams(60, w)
+        TestRowCertificate._assert_same(
+            solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
+        )
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    @pytest.mark.parametrize("w", [1.5, 3.0])
+    @pytest.mark.parametrize("rounds", [3, 24])
+    def test_brackets_out_of_steps(self, rounds, w, policy, monkeypatch):
+        # few bisection steps leave lockstep brackets open, so the solve
+        # fills in their last probes as _bisect does; the frozen loop runs
+        # with the same step count
+        monkeypatch.setattr(eqsolver, "_MAX_BISECT", rounds)
         params = GameParams(60, w)
         TestRowCertificate._assert_same(
             solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
@@ -762,17 +774,12 @@ class TestRoundingBound:
             bound = eqsolver._rounding_bound(
                 np.array([m]), np.array([k]), w, np.array([cont.max()])
             )[0]
-            rows = eqsolver._BinomRows(m, 64, UPPER)
-            ev = eqsolver._GapEvaluator(rows, k, w, cont)
+            pmf = eqsolver._Pmf(m - 1)
+            ev = eqsolver._GapEvaluator(pmf, k, w, cont)
             qs = np.array([q])
             got = (
                 ev.probe(q)[0],  # math.log rows and one dot, as _GapProbes
-                float(ev.gap(qs, rows.pmf.rows(qs))[0]),  # np.log rows, the scan's product
-                float(
-                    eqsolver._rough_gaps(
-                        eqsolver._Pmf.padded(np.array([m - 1])), np.array([k]), w, cont[None, :], qs
-                    )[0]
-                ),
+                float(ev.gap(qs, pmf.rows(qs))[0]),  # np.log rows, the scan's product
             )
             exact = _exact_gap(m, k, w, cont, q)
             for gap in got:
@@ -818,12 +825,13 @@ class TestCertifiedReplay:
     TOL = eqsolver.DEFAULT_TOL
 
     def _assert_replay(self, ms, ks, w, conts, cells, neg0, cert):
+        probes = eqsolver._GapProbes(ms, ks, w, conts)
         q, gap, enter = eqsolver._bisect_lockstep(
-            ms, ks, w, conts, UPPER[cells], UPPER[cells + 1], neg0, self.TOL, cert
+            probes, np.arange(len(ms)), UPPER[cells], UPPER[cells + 1], neg0, self.TOL, cert
         )
         for j, m in enumerate(ms.tolist()):
             ev = eqsolver._GapEvaluator(
-                eqsolver._BinomRows(m, 64, UPPER), int(ks[j]), w, conts[j, :m].copy()
+                eqsolver._Pmf(m - 1), int(ks[j]), w, conts[j, :m].copy()
             )
             fa = -1.0 if neg0[j] else 1.0
             a, b = float(UPPER[cells[j]]), float(UPPER[cells[j] + 1])
@@ -845,7 +853,8 @@ class TestCertifiedReplay:
         cmax = conts.max(axis=1)
         changes, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
         assert (changes == 1).all()
-        cells, cert = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        probes = eqsolver._GapProbes(ms, ks, w, conts)
+        cells, cert = eqsolver._enclose(probes, cmax, neg0, slack, UPPER)
         held = cells >= 0
         assert held.sum() >= 30, held.sum()
         for j in np.flatnonzero(held).tolist():  # the scan bisects the same cell
@@ -866,7 +875,8 @@ class TestCertifiedReplay:
         ms, ks, conts = _monotone_batch(rng, w, 16, 40)
         cmax = conts.max(axis=1)
         _, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
-        cells, cert = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        probes = eqsolver._GapProbes(ms, ks, w, conts)
+        cells, cert = eqsolver._enclose(probes, cmax, neg0, slack, UPPER)
         held = cells >= 0
         assert held.sum() >= 8, held.sum()
         ms, ks, conts, cells, neg0 = ms[held], ks[held], conts[held], cells[held], neg0[held]
@@ -891,7 +901,8 @@ class TestCertifiedReplay:
         ms, ks, conts = _monotone_batch(rng, w, 12, 40)
         cmax = conts.max(axis=1)
         _, neg0, slack = eqsolver._gamma_signs(ms, ks, w, conts, cmax)
-        _, (_, _, slope, bound) = eqsolver._enclose(ms, ks, w, conts, cmax, neg0, slack, UPPER)
+        probes = eqsolver._GapProbes(ms, ks, w, conts)
+        _, (_, _, slope, bound) = eqsolver._enclose(probes, cmax, neg0, slack, UPPER)
         moved = conts.copy()
         grid_at = rng.integers(40, len(UPPER) - 40, len(ms))
         for j, (m, k) in enumerate(zip(ms.tolist(), ks.tolist())):
@@ -905,7 +916,7 @@ class TestCertifiedReplay:
         ms, ks, moved, grid_at = ms[one], ks[one], moved[one], grid_at[one]
         neg0, slack, cmax = neg0[one], slack[one], cmax[one]
         got, (lo, hi, slope, bound) = eqsolver._enclose(
-            ms, ks, w, moved, cmax, neg0, slack, UPPER
+            eqsolver._GapProbes(ms, ks, w, moved), cmax, neg0, slack, UPPER
         )
         g = UPPER[grid_at]
         assert ((got < 0) == (np.isnan(lo) | ((lo < g) & (g < hi)))).all()
