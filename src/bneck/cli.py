@@ -103,17 +103,29 @@ def _reject_unknown(obj: dict, allowed: set, what: str):
         raise InvalidParameterError(f"unknown fields in {what}: {sorted(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer field: an int, or a float with no fractional part; not a bool."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise InvalidParameterError(f"profile field {name} must be an integer, got {value!r}")
+
+
+def _number(value, name: str) -> float:
+    """A JSON number field: a float, or an int in the float range; not a bool."""
+    if type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise InvalidParameterError(f"profile field {name} must be a number, got {value!r}")
+
+
 def parse_profile_document(doc: dict) -> Tuple[EntryProfile, GameParams]:
     if not isinstance(doc, dict):
         raise InvalidParameterError("profile document must be a JSON object")
     _reject_unknown(doc, {"n", "w", "entries"}, "profile document")
     try:
-        params = GameParams(int(doc["n"]), float(doc["w"]))
+        params = GameParams(_integer(doc["n"], "n"), _number(doc["w"], "w"))
         raw = doc["entries"]
     except KeyError as exc:
         raise InvalidParameterError(f"profile document missing field {exc}") from exc
-    except TypeError as exc:
-        raise InvalidParameterError("profile document n and w must be numbers") from exc
     if not isinstance(raw, list):
         raise InvalidParameterError("entries must be a list")
     entries: Dict[QueueState, float] = {}
@@ -122,12 +134,10 @@ def parse_profile_document(doc: dict) -> Tuple[EntryProfile, GameParams]:
             raise InvalidParameterError("profile entries must be objects")
         _reject_unknown(item, {"m", "k", "q"}, "profile entry")
         try:
-            state = QueueState(int(item["m"]), int(item["k"]))
-            q = float(item["q"])
+            state = QueueState(_integer(item["m"], "m"), _integer(item["k"], "k"))
+            q = _number(item["q"], "q")
         except KeyError as exc:
             raise InvalidParameterError(f"profile entry missing field {exc}") from exc
-        except TypeError as exc:
-            raise InvalidParameterError(f"profile entry {item} is not numeric") from exc
         if state in entries:
             raise InvalidParameterError(f"duplicate profile entry for {state}")
         if state.m < 1 or state.total > params.n:

@@ -24,17 +24,17 @@ a diagonal is solved at once (``_solve_diagonal``).  The continuation of
 (m, k), k >= 1, is the reversed prefix cost(m, t-1-m), ..., cost(1, t-2)
 of that diagonal, and its maximum a prefix maximum, so the no-entry
 certificate (``_certifies_no_entry``) tests the whole diagonal in one
-array expression.  When at least ``_LOCKSTEP_MIN`` states stay open, each
-is sorted by the sign changes of gamma[i] = k*w + w*i/2 - 1 - cont[i], the
-gap's coefficients in the degree-(m-1) Bernstein basis (``_gamma_signs``).
-By the variation-diminishing property the gap has at most as many roots in
-(0, 1) as gamma has sign changes, and it lies between min and max gamma.
-With every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
+array expression.  Each state it leaves open is sorted by the sign changes
+of gamma[i] = k*w + w*i/2 - 1 - cont[i], the gap's coefficients in the
+degree-(m-1) Bernstein basis (``_gamma_signs``).  By the
+variation-diminishing property the gap has at most as many roots in (0, 1)
+as gamma has sign changes, and it lies between min and max gamma.  With
+every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
   - no sign change gives the no-entry or all-enter tuple the scan would;
-  - one sign change gives one root r.  If the diagonal has at least
-    ``_LOCKSTEP_MIN`` such states, they are settled together, and one
-    ``_GapProbes`` evaluator, the exact probe batched over the diagonal's
-    single-root states, makes every probe of the enclosures and replays:
+  - one sign change gives one root r.  The diagonal's single-root states
+    are settled together, and one ``_GapProbes`` evaluator, the exact
+    probe batched over them, makes every probe of the enclosures and
+    replays:
       - certificate: when gamma is strictly monotone, so is the gap g, and
         |g(q)| >= L*|q - r| with L = (m-1) * (min |gamma step| - slack).
         ``_rounding_bound`` gives E, a bound on the rounding of any gap
@@ -50,8 +50,9 @@ With every gamma[i] farther than a ``_CERT_MARGIN`` slack from 0:
         a probe; every other gets the exact probe;
       - fallback: a state whose gamma is not strictly monotone, whose
         enclosure fails or whose cell is in doubt goes to the scan.
-Every other k >= 1 state goes to ``_scan_state``, whose binomial matrix
-(``model._Pmf.rows``) a state of the same m on the next diagonal reuses.
+Every other k >= 1 state goes to ``_scan``, whose binomial matrix
+(``model._Pmf.rows``) a scanned state of the same m on the next diagonal
+reuses.
 The state (t, 0) goes to ``_empty_queue_state``, which settles it in the
 same way from the degree-m Bernstein form of enter*leave - stay, finding
 its cell by scalar probes, or else scans it.  A scalar probe takes its
@@ -117,7 +118,6 @@ _SCAN_LO = 1e-12  # lower scan endpoint above q = 0 at k >= 1
 # scan's binomial rows, so a certified state also has a positive gap at every
 # scan point and the certificate returns exactly what the scan would
 _CERT_MARGIN = 1e-9
-_LOCKSTEP_MIN = 8  # single-root states a diagonal needs to bisect them in lockstep
 _LOG_HALF = math.log(0.5)  # log q and log(1-q) of a batch row that holds no probe
 _U = 2.0**-53  # unit roundoff of a float
 _ENCLOSE_TRIES = 4  # tries of a root's enclosure; each failed one recentres and widens
@@ -154,23 +154,6 @@ class EquilibriumSolution:
     @property
     def total_cost(self) -> float:
         return self.params.n * self.per_player_cost  # 0 at n = 1: c(1, 0) = 0
-
-
-class _BinomRows:
-    """Binomial(m-1, q) pmf rows for every state with m agents outside."""
-
-    def __init__(self, m: int, grid_points: int, upper_grid: np.ndarray):
-        self.m = m
-        self.grid_points = grid_points
-        self.pmf = _Pmf(m - 1)
-        self._upper_grid = upper_grid
-        self._scan = None
-
-    def scan(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The k >= 1 scan grid and its pmf matrix, built on first use."""
-        if self._scan is None:
-            self._scan = self._upper_grid, self.pmf.rows(self._upper_grid)
-        return self._scan
 
 
 class _GapEvaluator:
@@ -257,26 +240,32 @@ def _lower_end(ev: _GapEvaluator) -> Tuple[float, float]:
 
 
 def _scan_state(
-    rows: _BinomRows,
+    pmf: _Pmf,
     k: int,
     w: float,
     cont: np.ndarray,
+    grid_points: int,
     policy: RootPolicy,
     tol: float,
 ) -> Tuple[float, float, int, float]:
-    """(q, cost, root count, residual) of a state the certificate leaves open.
+    """``_scan`` of a state the certificate leaves open, over a grid and matrix of its own.
+
+    ``pmf`` is the state's Binomial(m-1, q) pmf.
+    """
+    ev = _GapEvaluator(pmf, k, w, cont)
+    grid = _scan_grid(k, _lower_end(ev)[0] if k == 0 else _SCAN_LO, grid_points)
+    return _scan(ev, grid, pmf.rows(grid), policy, tol)
+
+
+def _scan(
+    ev: _GapEvaluator, grid: np.ndarray, B: np.ndarray, policy: RootPolicy, tol: float
+) -> Tuple[float, float, int, float]:
+    """(q, cost, root count, residual) from the gaps over ``grid``, whose pmf matrix is B.
 
     Cases (a) to (c) of the module docstring, by scan and bisection.
     """
-    m = rows.m
-    ev = _GapEvaluator(rows.pmf, k, w, cont)
-    if k == 0:
-        grid = _scan_grid(k, _lower_end(ev)[0], rows.grid_points)
-        gaps = ev.gap(grid, rows.pmf.rows(grid))
-    else:
-        grid, B = rows.scan()
-        gaps = ev.gap(grid, B)
-
+    k, w, cont = ev.k, ev.w, ev.cont
+    gaps = ev.gap(grid, B)
     roots: List[Tuple[float, float]] = []
     for j in np.nonzero(gaps == 0.0)[0]:
         roots.append((float(grid[j]), 0.0))
@@ -296,14 +285,14 @@ def _scan_state(
         if k >= 1 and gaps.min() >= 0.0:
             return 0.0, 1.0 + float(cont[0]), 0, 0.0
         raise InternalInconsistencyError(
-            f"no equilibrium case applies at state ({m},{k}) with w={w}"
+            f"no equilibrium case applies at state ({ev.m},{k}) with w={w}"
         )
     q, res = roots[0] if policy is RootPolicy.SMALLEST_Q else roots[-1]
     return q, float(ev.enter(q)), len(roots), res
 
 
 def _empty_queue_state(
-    rows: _BinomRows, w: float, cont: np.ndarray, policy: RootPolicy, tol: float
+    pmf: _Pmf, w: float, cont: np.ndarray, grid_points: int, policy: RootPolicy, tol: float
 ) -> Tuple[float, float, int, float]:
     """``_scan_state``'s tuple at (m, 0), from the signs of f where they allow.
 
@@ -317,7 +306,7 @@ def _empty_queue_state(
     probed gap farther from 0 than the scan's rounding could move it, and
     ``_bisect`` refines the cell.  Any other state is scanned.
     """
-    m = rows.m
+    m = pmf.m + 1
     c = np.append(cont, 0.0)
     j = np.arange(m + 1)
     f = np.where(j >= 2, (m - 1) / 2.0 * w * j / m, 0.0) - 1.0 - (m - j) / m * c
@@ -326,12 +315,12 @@ def _empty_queue_state(
     pos = f > 0.0
     changes = np.count_nonzero(pos[1:] != pos[:-1])
     if changes > 1 or (np.abs(f) <= slack).any():
-        return _scan_state(rows, 0, w, cont, policy, tol)
+        return _scan_state(pmf, 0, w, cont, grid_points, policy, tol)
     if not changes:
         c1 = (m - 1) / 2.0 * 1.0 * w + 0.0  # enter cost at q = 1
         return 1.0, c1, 0, c1 - (1.0 + cont[-1])
-    ev = _GapEvaluator(rows.pmf, 0, w, cont)
-    grid = _scan_grid(0, _lower_end(ev)[0], rows.grid_points)
+    ev = _GapEvaluator(pmf, 0, w, cont)
+    grid = _scan_grid(0, _lower_end(ev)[0], grid_points)
 
     def sign(at: int) -> int:
         """The gap's sign at grid[at]; 0 where the scan's rounding could flip it."""
@@ -341,13 +330,13 @@ def _empty_queue_state(
         return -1 if gap < 0.0 else 1
 
     if sign(0) != -1:
-        return _scan_state(rows, 0, w, cont, policy, tol)
+        return _scan_state(pmf, 0, w, cont, grid_points, policy, tol)
     lo, hi = 0, len(grid) - 1  # the gap at grid[-1] = 1 is f[m] > 0
     while hi - lo > 1:
         at = (lo + hi) // 2
         side = sign(at)
         if not side:
-            return _scan_state(rows, 0, w, cont, policy, tol)
+            return _scan_state(pmf, 0, w, cont, grid_points, policy, tol)
         lo, hi = (at, hi) if side < 0 else (lo, at)
     q, res = _bisect(ev, float(grid[lo]), float(grid[hi]), -1.0, 1.0, tol)
     return q, float(ev.enter(q)), 1, res
@@ -373,8 +362,7 @@ def solve_state(
     cont = _successor_values(continuation, m, k)
     if _certifies_no_entry(k, w, float(cont.max())):
         return 0.0, 1.0 + float(cont[0]), 0
-    rows = _BinomRows(m, grid_points, _scan_grid(1, _SCAN_LO, grid_points))
-    q, c, count, _ = _scan_state(rows, k, w, cont, policy, tol)
+    q, c, count, _ = _scan_state(_Pmf(m - 1), k, w, cont, grid_points, policy, tol)
     return q, c, count
 
 
@@ -400,7 +388,7 @@ def solve_equilibrium(
     cost[1] = np.arange(n + 1)
     roots, residual = np.zeros((n + 1, n + 1), dtype=int), np.zeros((n + 1, n + 1))
     upper_grid = _scan_grid(1, _SCAN_LO, grid_points)  # k >= 1 grid, same for every m
-    scans = {}  # m -> _BinomRows of the states the last diagonal scanned
+    scans = {}  # m -> pmf and k >= 1 scan matrix of the state the last diagonal scanned
     for t in range(2, n + 1):
         j = np.arange(t + 1)
         diagonal = j[2:], t - j[2:]
@@ -432,9 +420,11 @@ def _solve_diagonal(
     ``prev[j]`` is cost(j, t - 1 - j), j = 0..t-1, and prev[0] is 0: the
     diagonal that every successor lies on.  Column m - 2 holds (m, t - m).
     Each state gets what ``_scan_state`` would return (see the module
-    docstring).  ``scans`` holds the ``_BinomRows`` of the states that the
-    last diagonal scanned, whose scan matrices the next state of the same
-    m reuses; it is left holding this diagonal's.
+    docstring).  ``scans`` maps m to the ``_Pmf`` and k >= 1 scan matrix
+    of the state of that m that the last diagonal scanned, for a scanned
+    state of the same m to reuse; it is left holding this diagonal's.
+    Near w = 2 almost every open state has a gamma within the slack of 0,
+    so each diagonal scans almost every state.
     """
     t = len(prev)
     # the no-entry tuple (0, 1 + cost(m, k-1), 0, 0) at every k >= 1 state,
@@ -444,19 +434,18 @@ def _solve_diagonal(
     ms = np.arange(2, t)
     cmax = np.maximum.accumulate(prev[1:])[ms - 1]  # the largest continuation cost
     cols = np.flatnonzero(~_certifies_no_entry(t - ms, w, cmax))
-    if len(cols) >= _LOCKSTEP_MIN:
-        cols = _settle_open(out, cols, prev, w, cmax[cols], upper_grid, tol)
+    cols = _settle_open(out, cols, prev, w, cmax[cols], upper_grid, tol)
     last = scans.copy()
     scans.clear()
-    for m in (np.append(cols, t - 2) + 2).tolist():
-        cont = np.empty(m)
-        cont[0] = prev[m] if m < t else 0.0
-        cont[1:] = prev[m - 1 : 0 : -1]
-        rows = scans[m] = last.get(m) or _BinomRows(m, grid_points, upper_grid)
-        if m < t:
-            out[:, m - 2] = _scan_state(rows, t - m, w, cont, policy, tol)
-        else:
-            out[:, m - 2] = _empty_queue_state(rows, w, cont, policy, tol)
+    for m in (cols + 2).tolist():
+        if m not in last:
+            pmf = _Pmf(m - 1)
+            last[m] = pmf, pmf.rows(upper_grid)
+        pmf, B = scans[m] = last[m]
+        ev = _GapEvaluator(pmf, t - m, w, prev[m:0:-1].copy())  # cont[i] = cost(m-i, k-1+i)
+        out[:, m - 2] = _scan(ev, upper_grid, B, policy, tol)
+    cont = np.append(0.0, prev[t - 1 : 0 : -1])  # slot 0, the self-loop, is divided out
+    out[:, -1] = _empty_queue_state(_Pmf(t - 1), w, cont, grid_points, policy, tol)
     return out
 
 
@@ -474,10 +463,10 @@ def _settle_open(
     Writes their tuples into ``out`` and returns the columns left to the
     scan.  With every gamma[i] clear of 0 (``_gamma_signs``), a state
     with no sign change has no root and one with one sign change exactly
-    one.  When there are at least ``_LOCKSTEP_MIN`` single-root states,
-    those that ``_enclose`` certifies are bisected in lockstep, both
-    probing through one ``_GapProbes`` of the single-root states; the scan
-    decides the rest, and every state when there are fewer.
+    one.  The single-root states that ``_enclose`` certifies are bisected
+    in lockstep, both probing through one ``_GapProbes`` of the
+    single-root states, however few; the scan decides the rest.  ``cols``
+    may be empty.
     """
     t = len(prev)
     ms = cols + 2
@@ -491,7 +480,7 @@ def _settle_open(
     out[0, cols[all_enter]], out[1, cols[all_enter]] = 1.0, c1
     out[3, cols[all_enter]] = c1 - (1.0 + prev[1])
     one = np.flatnonzero(changes == 1)
-    if len(one) < _LOCKSTEP_MIN:
+    if not len(one):  # _Pmf.padded needs a degree
         return cols[changes != 0]
     probes = _GapProbes(ms[one], ks[one], w, conts[one])
     cells, cert = _enclose(probes, cmax[one], neg0[one], slack[one], upper_grid)

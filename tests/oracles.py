@@ -312,13 +312,17 @@ def solve_equilibrium_per_state(
     solved[1] = [(1.0, float(k), 0, 0.0) for k in range(n)]
     upper_grid = eqsolver._scan_grid(1, eqsolver._SCAN_LO, grid_points)
     for m in range(2, n + 1):
-        rows = eqsolver._BinomRows(m, grid_points, upper_grid)
+        pmf = eqsolver._Pmf(m - 1)
+        B = pmf.rows(upper_grid)  # the one k >= 1 scan matrix of this m
         for k in range(n - m + 1):
             cont = _successor_values(cost, m, k)
             if eqsolver._certifies_no_entry(k, w, float(cont.max())):
                 result = (0.0, 1.0 + float(cont[0]), 0, 0.0)
+            elif k == 0:
+                result = eqsolver._scan_state(pmf, k, w, cont, grid_points, policy, tol)
             else:
-                result = eqsolver._scan_state(rows, k, w, cont, policy, tol)
+                ev = eqsolver._GapEvaluator(pmf, k, w, cont)
+                result = eqsolver._scan(ev, upper_grid, B, policy, tol)
             cost[m, k] = result[1]
             solved[m].append(result)
     profile: Dict[QueueState, float] = {}

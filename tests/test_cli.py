@@ -195,8 +195,20 @@ class TestProfileDocument:
             {"n": 2, "w": 8.0, "entries": [{"m": 2, "q": 0.5}]},
             {"n": 2, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": None}]},
             {"n": None, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": 0.5}]},
+            {"n": 2.7, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": 0.5}]},
+            {"n": 2, "w": 8.0, "entries": [{"m": 2.9, "k": 0, "q": 0.5}]},
+            {"n": "2", "w": 8.0, "entries": [{"m": 2, "k": 0, "q": 0.5}]},
+            {"n": 2, "w": 8.0, "entries": [{"m": 2, "k": 0, "q": "0.5"}]},
+            {
+                "n": 2,
+                "w": 8.0,
+                "entries": [{"m": 2, "k": 0, "q": 0.5}, {"m": True, "k": 0, "q": 1.0}],
+            },
         ],
-        ids=["missing_k", "null_q", "null_n"],
+        ids=[
+            "missing_k", "null_q", "null_n",
+            "n_fraction", "m_fraction", "n_string", "q_string", "m_bool",
+        ],
     )
     def test_malformed_entry_exits_bad_input(self, doc, tmp_path):
         with pytest.raises(InvalidParameterError):

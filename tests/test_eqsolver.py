@@ -497,9 +497,9 @@ UPPER = eqsolver._scan_grid(1, eqsolver._SCAN_LO, eqsolver.DEFAULT_GRID_POINTS)
 
 def _scan(m, k, w, cont, policy=RootPolicy.SMALLEST_Q):
     """``_scan_state``'s tuple and the sign-change cells of its scan gaps."""
-    rows = eqsolver._BinomRows(m, eqsolver.DEFAULT_GRID_POINTS, UPPER)
-    result = eqsolver._scan_state(rows, k, w, cont, policy, eqsolver.DEFAULT_TOL)
-    gaps = eqsolver._GapEvaluator(rows.pmf, k, w, cont).gap(UPPER, rows.scan()[1])
+    pmf, points = eqsolver._Pmf(m - 1), eqsolver.DEFAULT_GRID_POINTS
+    result = eqsolver._scan_state(pmf, k, w, cont, points, policy, eqsolver.DEFAULT_TOL)
+    gaps = eqsolver._GapEvaluator(pmf, k, w, cont).gap(UPPER, pmf.rows(UPPER))
     with np.errstate(over="ignore"):
         cells = np.flatnonzero(gaps[:-1] * gaps[1:] < 0.0).tolist()
     return result, cells
@@ -604,10 +604,10 @@ class TestBernsteinCertificate:
             m = int(rng.integers(2, 61))
             cont = self._random_cont(rng, m, 1, w)
             cont[0] = 0.0  # the divided-out self-loop
-            rows = eqsolver._BinomRows(m, eqsolver.DEFAULT_GRID_POINTS, UPPER)
-            tol = eqsolver.DEFAULT_TOL
-            want = eqsolver._scan_state(rows, 0, w, cont, policy, tol)
-            assert eqsolver._empty_queue_state(rows, w, cont, policy, tol) == want, (m, w)
+            pmf, tol = eqsolver._Pmf(m - 1), eqsolver.DEFAULT_TOL
+            points = eqsolver.DEFAULT_GRID_POINTS
+            want = eqsolver._scan_state(pmf, 0, w, cont, points, policy, tol)
+            assert eqsolver._empty_queue_state(pmf, w, cont, points, policy, tol) == want, (m, w)
 
     @pytest.mark.parametrize("w", [1.5, 3.0, 100.0])
     def test_unclassified_states_reach_the_scan(self, w):
@@ -727,17 +727,24 @@ class TestDiagonalSolver:
             solve_equilibrium(params, policy), oracles.solve_equilibrium_per_state(params, policy)
         )
 
-    def test_lockstep_and_scan_paths_agree(self):
-        # the lockstep threshold picks a path, never an output
-        params = GameParams(60, 3.0)
-        want = solve_equilibrium(params)
-        for threshold in (2, 10**6):
-            old = eqsolver._LOCKSTEP_MIN
-            eqsolver._LOCKSTEP_MIN = threshold
-            try:
-                TestRowCertificate._assert_same(solve_equilibrium(params), want)
-            finally:
-                eqsolver._LOCKSTEP_MIN = old
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    def test_scan_is_a_fallback(self, policy, monkeypatch):
+        # on these games every open k >= 1 state is settled by gamma's signs
+        # or the lockstep, whatever the size of its diagonal.  By the prefix
+        # property G(40; w) solves every state of G(n; w), n = 2..40, as they
+        # do.  Every scan, through _scan_state or not, goes through _scan.
+        calls = []
+        scan = eqsolver._scan
+
+        def counted(ev, *args):
+            calls.append((ev.m, ev.k))
+            return scan(ev, *args)
+
+        monkeypatch.setattr(eqsolver, "_scan", counted)
+        for n, w in [(40, 10.0), (40, 100.0), (40, 1e18), (150, 100.0), (150, 1e4)]:
+            solve_equilibrium(GameParams(n, w), policy)
+            assert not [s for s in calls if s[1] >= 1], (n, w)
+        assert calls  # the k = 0 states at w = 1e18 are scanned, so the wrapper is live
 
 
 def _exact_gap(m, k, w, cont, q):
