@@ -388,8 +388,9 @@ def prob_vanishing_check(
     if not eq.params.w > 2.0:
         raise InvalidParameterError("vanishing checks are meaningful only for w > 2")
     n = eq.params.n
-    states, ms, ks = _decision_states(n)
+    ms, ks = _decision_states(n)
     values, satisfied = _vanishing(_dense_q(eq.profile, n), ms, ks, eps, tol)
+    states = map(QueueState, ms.tolist(), ks.tolist())
     return list(map(VanishingEntry, states, values.tolist(), satisfied.tolist()))
 
 
@@ -614,7 +615,7 @@ def _bounds_report(
             advisory=False,
             note=f"worst m={m}",
         )
-        _, ms, ks = _decision_states(n)
+        ms, ks = _decision_states(n)
         values, satisfied = _vanishing(q, ms, ks, eps, _VANISH_TOL)
         n_vanish = int(satisfied.sum())
         row(

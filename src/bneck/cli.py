@@ -12,7 +12,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -352,8 +351,7 @@ def _sweep_row(
         profile=EntryProfile(big_eq.profile.entries.dense(n)),
         per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, big_eq.per_player.values.dense(n)),
         policy=big_eq.policy,
-        # in enumerate_states order, so the states of G(n; w) come first
-        diagnostics=dict(itertools.islice(big_eq.diagnostics.items(), n * (n + 1) // 2)),
+        diagnostics=big_eq.diagnostics.prefix(n),
     )
     opt = OptSolution(params, big_opt.p[: n + 1], big_opt.opt[: n + 1])
     report = bounds_mod._bounds_report(eq, opt, eps, bounds_mod.DEFAULT_REL_TOL, heuristics)
@@ -413,11 +411,8 @@ def cmd_verify(args) -> int:
     lines.append(
         f"[{status}] equilibrium conditions: worst residual {report.worst_residual:.3e}"
     )
-    for check in report.checks:
-        if not check.passed:
-            lines.append(
-                f"    state ({check.state.m},{check.state.k}): {check.reason}"
-            )
+    for check in report._failed_checks():
+        lines.append(f"    state ({check.state.m},{check.state.k}): {check.reason}")
     ok &= report.passed
 
     lemmas = bounds_mod.aux_lemma_validators(args.samples, args.seed)

@@ -60,6 +60,12 @@ pmf row from the state's ``model._Pmf``, a batched one the same row from
 a padded block of them.  Every state gets, bit for bit, what the scan
 returns.  Solved costs live in a dense (n+1) x (n+1) array.
 
+Per-state results stay in arrays.  A solution's ``diagnostics`` is a
+read-only Mapping over the root-count and residual arrays of the solve
+(``_Diagnostics``), and a ``VerificationReport`` keeps the columns of
+``_check_states``; a ``StateDiagnostics`` or ``StateCheck`` is built only
+when read.
+
 Prefix property, which ``bneck sweep`` relies on and the solver must keep:
 a state with m + k <= n solves the same, bit for bit, in every G(N; w) with
 N >= n.  So no scan grid, tolerance or case test may depend on n.
@@ -70,7 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -90,7 +96,8 @@ from .model import (
     _mask_off_game,
     _Pmf,
     _profile_costs,
-    _states,
+    _state_index,
+    _StateTable,
     _successor_values,
     _wait_cost,
 )
@@ -137,6 +144,29 @@ class RootPolicy(Enum):
 class StateDiagnostics:
     root_count: int
     residual: float
+
+
+class _Diagnostics(_StateTable):
+    """A read-only Mapping QueueState -> StateDiagnostics over a solve's dense [m, k] arrays.
+
+    The ``_StateTable`` of the residuals, nan marking an absent state, that
+    also views the root counts.  A ``StateDiagnostics`` is built on each
+    ``[]``.  ``prefix(n)`` is the table of the states of G(n), which by the
+    prefix property are G(n)'s own.
+    """
+
+    __slots__ = ("_roots",)
+
+    def __init__(self, roots: np.ndarray, residual: np.ndarray):
+        super().__init__(residual)
+        self._roots = roots
+
+    def __getitem__(self, state: QueueState) -> StateDiagnostics:
+        residual = super().__getitem__(state)
+        return StateDiagnostics(self._roots.item(state.m, state.k), residual)
+
+    def prefix(self, n: int) -> "_Diagnostics":
+        return _Diagnostics(self._roots, self.dense(n))
 
 
 @dataclass(frozen=True)
@@ -395,14 +425,12 @@ def solve_equilibrium(
         q[diagonal], cost[diagonal], roots[diagonal], residual[diagonal] = _solve_diagonal(
             cost[j[:-1], t - 1 - j[:-1]], w, scans, upper_grid, grid_points, policy, tol
         )
-    states, ms, ks = _states(n)
-    diagnostics = map(StateDiagnostics, roots[ms, ks].tolist(), residual[ms, ks].tolist())
     return EquilibriumSolution(
         params=params,
         profile=EntryProfile(_mask_off_game(q, 1)),
         per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, _mask_off_game(cost, 1)),
         policy=policy,
-        diagnostics=dict(zip(states, diagnostics)),
+        diagnostics=_Diagnostics(roots, _mask_off_game(residual, 1)),
     )
 
 
@@ -768,16 +796,69 @@ class StateCheck:
     reason: str = ""
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    params: GameParams
-    checks: Tuple[StateCheck, ...]
-    passed: bool
-    worst_residual: float
+    """The per-state checks of a profile, whether all passed, and the worst residual.
+
+    ``checks`` is a tuple of ``StateCheck``: the states of
+    ``enumerate_states`` with m >= 2, in its order, then any failed floor
+    checks of ``verify_equilibrium``.  The verifiers keep them as the
+    columns of ``_check_states`` instead, and build the tuple at its first
+    read; ``failing_states`` builds only the failed checks.
+    """
+
+    __slots__ = ("params", "passed", "worst_residual", "_checks", "_columns")
+
+    def __init__(
+        self,
+        params: GameParams,
+        checks: Tuple[StateCheck, ...],
+        passed: bool,
+        worst_residual: float,
+    ):
+        self.params, self.passed, self.worst_residual = params, passed, worst_residual
+        self._checks, self._columns = checks, None
+
+    @classmethod
+    def _of_columns(cls, params: GameParams, columns: tuple) -> "VerificationReport":
+        """The report on the columns (ms, ks, q, cost, enter, wait, residual, passed, reasons)."""
+        resid, ok = columns[-3:-1]
+        report = cls(params, None, bool(ok.all()), float(np.fmax.reduce(resid, initial=0.0)))
+        report._columns = columns
+        return report
+
+    def _column_checks(self, at: np.ndarray) -> Tuple[StateCheck, ...]:
+        ms, ks, *values, reasons = self._columns
+        states = map(QueueState, ms[at].tolist(), ks[at].tolist())
+        why = [reasons.get(j, "") for j in at.tolist()]
+        return tuple(map(StateCheck, states, *(a[at].tolist() for a in values), why))
+
+    @property
+    def checks(self) -> Tuple[StateCheck, ...]:
+        if self._checks is None:
+            self._checks = self._column_checks(np.arange(len(self._columns[0])))
+        return self._checks
+
+    def _failed_checks(self) -> List[StateCheck]:
+        if self._columns is None:
+            return [c for c in self._checks if not c.passed]
+        return list(self._column_checks(np.flatnonzero(~self._columns[-2])))
 
     @property
     def failing_states(self) -> List[QueueState]:
-        return [c.state for c in self.checks if not c.passed]
+        return [c.state for c in self._failed_checks()]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.checks, self.passed, self.worst_residual) == (
+            other.params, other.checks, other.passed, other.worst_residual
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"VerificationReport(params={self.params!r}, checks={self.checks!r}, "
+            f"passed={self.passed!r}, worst_residual={self.worst_residual!r})"
+        )
 
 
 def _finite_profile_costs(
@@ -814,30 +895,22 @@ def verify_profile(
     entering to be weakly better, and no single deviation may beat the cost
     the profile itself delivers.
     """
-    states, ms, ks = _decision_states(params.n)
-    fields, ok, reasons = _check_states(profile, params, ms, ks, tol)
-    checks = tuple(map(StateCheck, states, *fields.tolist(), ok.tolist(), reasons))
-    return VerificationReport(
-        params=params,
-        checks=checks,
-        passed=bool(ok.all()),
-        worst_residual=float(np.fmax.reduce(fields[-1], initial=0.0)),
-    )
+    ms, ks = _decision_states(params.n)
+    return VerificationReport._of_columns(params, _check_states(profile, params, ms, ks, tol))
 
 
 def _check_states(
     profile: EntryProfile, params: GameParams, ms: np.ndarray, ks: np.ndarray, tol: float
-) -> Tuple[np.ndarray, np.ndarray, List[str]]:
-    """``verify_profile``'s tests on the states (ms, ks), as arrays.
+) -> tuple:
+    """``verify_profile``'s tests on the states (ms, ks), as the columns of a report.
 
-    Returns the rows q, cost, enter cost, wait cost and residual of one
-    array, the verdicts and the reasons.  The comparisons are those of
-    scalar code: ``max`` and ``min`` are ``where`` on ``>`` and ``<``, so a
-    nan never wins one.
+    The columns are ms and ks, then one array per field of ``StateCheck``
+    but the reason, and last the reasons of the failed states by position.
+    The comparisons are those of scalar code: ``max`` and ``min`` are
+    ``where`` on ``>`` and ``<``, so a nan never wins one.
     """
     w = params.w
-    q, v, wait = _finite_profile_costs(profile, params)
-    q, cost, c0 = q[ms, ks], v[ms, ks], wait[ms, ks]
+    q, cost, c0 = (a[ms, ks] for a in _finite_profile_costs(profile, params))
     c1 = (ms - 1) / 2.0 * q * w + ks * w  # cost_enter
     slack = tol * np.where(np.abs(cost) > 1.0, np.abs(cost), 1.0)
     interior, idle = (q > 0.0) & (q < 1.0), q == 0.0
@@ -847,7 +920,7 @@ def _check_states(
     deviation_gain = cost - np.where(c0 < c1, c0, c1)
     deviates = deviation_gain > slack
     resid = np.where(deviation_gain > resid, deviation_gain, resid)
-    reasons = [""] * len(q)
+    reasons: Dict[int, str] = {}
     for j in np.flatnonzero(bad | deviates).tolist():
         r = []
         if bad[j]:
@@ -860,7 +933,7 @@ def _check_states(
         if deviates[j]:
             r.append(f"profitable deviation worth {float(deviation_gain[j]):.3g}")
         reasons[j] = "; ".join(r)
-    return np.stack([q, cost, c1, c0, resid]), ~(bad | deviates), reasons
+    return ms, ks, q, cost, c1, c0, resid, ~(bad | deviates), reasons
 
 
 def verify_equilibrium(
@@ -868,31 +941,23 @@ def verify_equilibrium(
 ) -> VerificationReport:
     """Re-verify a solver output from scratch (profile-induced cost table)."""
     report = verify_profile(solution.profile, solution.params, tol)
-    n, w = solution.params.n, solution.params.w
-    extra: List[StateCheck] = []
-    if w > 2.0:
-        states, ms, ks = _states(n)
-        floor = ms + ks - 1
-        cost = solution.per_player.values.dense(n)[ms, ks]
-        for j in np.flatnonzero(cost < floor - tol * np.maximum(1.0, floor)).tolist():
-            state, c = states[j], float(cost[j])
-            extra.append(
-                StateCheck(
-                    state=state,
-                    q=solution.profile.q(state),
-                    cost=c,
-                    enter_cost=math.nan,
-                    wait_cost=math.nan,
-                    residual=state.total - 1 - c,
-                    passed=False,
-                    reason=f"per-player cost below floor {state.total - 1}",
-                )
-            )
-    if not extra:
+    n = solution.params.n
+    if solution.params.w <= 2.0:
         return report
-    return VerificationReport(
-        params=report.params,
-        checks=report.checks + tuple(extra),
-        passed=report.passed and not extra,
-        worst_residual=max(report.worst_residual, max(e.residual for e in extra)),
+    ms, ks = _state_index(n)
+    floor = ms + ks - 1
+    cost = solution.per_player.values.dense(n)[ms, ks]
+    low = np.flatnonzero(cost < floor - tol * np.maximum(1.0, floor))
+    if not len(low):
+        return report
+    # each floor failure is one more failed column entry, without enter or wait cost
+    ms, ks, floor, cost = ms[low], ks[low], floor[low], cost[low]
+    nan, failed = np.full(len(low), math.nan), np.zeros(len(low), bool)
+    floors = (ms, ks, _dense_q(solution.profile, n)[ms, ks], cost, nan, nan, floor - cost, failed)
+    columns = report._columns
+    reasons = dict(columns[-1])
+    for j, f in enumerate(floor.tolist(), len(columns[0])):
+        reasons[j] = f"per-player cost below floor {f}"
+    return VerificationReport._of_columns(
+        report.params, (*map(np.concatenate, zip(columns[:-1], floors)), reasons)
     )

@@ -25,7 +25,10 @@ with Binomial odds and the game moves to (m-i, k+i-1).  ``_successors``
 holds that index arithmetic and ``_Pmf`` the binomial: it is the package's
 only pmf code.  Per-state values live in dense (n+1) x (n+1)
 arrays indexed [m, k]; every per-state table is one behind the Mapping type
-``_StateTable``, nan marking an absent state.  The profile pass visits states
+``_StateTable``, nan marking an absent state.  Code that reads all states
+indexes those arrays with the m and k arrays of ``_state_index``; a
+``QueueState`` is made only for a caller that iterates states (``_states``)
+or reads one.  The profile pass visits states
 m-major (m ascending, then k ascending: (m, k) needs (m, k-1) and fewer
 agents out); the equilibrium solver walks the diagonals m + k (``eqsolver``).
 
@@ -291,28 +294,38 @@ def enumerate_states(n: int) -> List[QueueState]:
     return list(_states(n)[0])
 
 
-_state_cache = ((), np.zeros(0, np.intp), np.zeros(0, np.intp))
+_state_index_cache = (np.zeros(0, np.intp), np.zeros(0, np.intp))
+_state_cache: Tuple[QueueState, ...] = ()
 
 
-def _states(n: int) -> Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray]:
-    """``enumerate_states(n)`` as a tuple, and its m and k as read-only arrays.
+def _state_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The m and k of ``enumerate_states(n)``, in its order, as read-only arrays.
 
     A report asks for the states several times, and a sweep alternates game
     sizes.  The order is prefix-stable: the states of G(n) are the first
     n(n+1)/2 of any larger game's.  So one cache, at the largest n asked
     for, serves every n.
     """
-    global _state_cache
+    global _state_index_cache
     size = n * (n + 1) // 2
-    if len(_state_cache[0]) < size:
+    if len(_state_index_cache[0]) < size:
         t = np.repeat(np.arange(1, n + 1), np.arange(1, n + 1))
         m = np.arange(size) - t * (t - 1) // 2 + 1
         k = t - m
         for a in (m, k):
             a.flags.writeable = False
-        _state_cache = tuple(map(QueueState, m.tolist(), k.tolist())), m, k
-    states, m, k = _state_cache
-    return states[:size], m[:size], k[:size]
+        _state_index_cache = m, k
+    m, k = _state_index_cache
+    return m[:size], k[:size]
+
+
+def _states(n: int) -> Tuple[Tuple[QueueState, ...], np.ndarray, np.ndarray]:
+    """``enumerate_states(n)`` as a tuple, cached as the index is, and ``_state_index(n)``."""
+    global _state_cache
+    m, k = _state_index(n)
+    if len(_state_cache) < len(m):
+        _state_cache = tuple(map(QueueState, m.tolist(), k.tolist()))
+    return _state_cache[: len(m)], m, k
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +459,15 @@ def _exp_into(logv: np.ndarray, out: np.ndarray) -> np.ndarray:
     Measured on AVX-512 numpy 2.4: np.exp takes about 15 ns on an entry
     that underflows and 1 ns on others, and a masked np.exp about 2 ns per
     entry, so the mask pays once about an eighth of the entries underflow.
-    ``out`` must not share memory with ``logv``: the masked path zeroes
-    ``out`` before it reads ``logv``.
+    ``out`` may be ``logv``: the masked path reads every kept entry before
+    it writes the 0s.
     """
     keep = logv > _EXP_FLOOR
     if 8 * np.count_nonzero(keep) > 7 * keep.size:
         return np.exp(logv, out)
-    out.fill(0.0)
-    return np.exp(logv, out, where=keep)
+    np.exp(logv, out, where=keep)
+    np.copyto(out, 0.0, where=np.logical_not(keep, keep))
+    return out
 
 
 def one_minus_pow(q, e: int):
@@ -552,11 +566,11 @@ def _dense_q(profile: EntryProfile, n: int) -> np.ndarray:
     return q
 
 
-def _decision_states(n: int) -> Tuple[List[QueueState], np.ndarray, np.ndarray]:
-    """The states of ``enumerate_states(n)`` with m >= 2, in its order, and their m and k."""
-    states, m, k = _states(n)
+def _decision_states(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The m and k of the states of ``enumerate_states(n)`` with m >= 2, in its order."""
+    m, k = _state_index(n)
     keep = m >= 2
-    return list(itertools.compress(states, keep.tolist())), m[keep], k[keep]
+    return m[keep], k[keep]
 
 
 def _profile_costs(q: np.ndarray, w: float) -> Tuple[np.ndarray, np.ndarray]:

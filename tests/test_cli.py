@@ -17,7 +17,8 @@ from bneck.cli import (
 )
 from bneck import bounds as bounds_mod
 from bneck.bounds import bounds_report
-from bneck.eqsolver import RootPolicy, solve_equilibrium
+from bneck import eqsolver
+from bneck.eqsolver import RootPolicy, StateCheck, solve_equilibrium
 from bneck.model import GameParams, InvalidParameterError, QueueState
 from bneck.optsolver import sc_unrestricted, solve_opt
 
@@ -489,6 +490,25 @@ class TestVerify:
         )
         assert code == EXIT_CHECK_FAILED
         assert "state (2,0)" in out.read_text()
+
+    def test_failing_profile_text(self, tmp_path, monkeypatch):
+        # the text recorded before the checks were kept as arrays; only the
+        # failing states' checks are built
+        q = {(2, 0): 0.6, (2, 1): 0.0, (3, 0): 1.0}
+        doc = {"n": 3, "w": 3.0, "entries": [{"m": m, "k": k, "q": v} for (m, k), v in q.items()]}
+        pfile = tmp_path / "bad.json"
+        pfile.write_text(json.dumps(doc))
+        built = []
+        monkeypatch.setattr(eqsolver, "StateCheck", lambda *a: built.append(a[0]) or StateCheck(*a))
+        args = ["verify", "--n", "3", "--w", "3", "--samples", "100", "--nmax", "5"]
+        code, text = run(args + ["--profile", str(pfile)], tmp_path)
+        assert code == EXIT_CHECK_FAILED
+        assert text.splitlines()[:3] == [
+            "[FAIL] equilibrium conditions: worst residual 1.000e+00",
+            "    state (2,0): not indifferent at interior q=0.6; profitable deviation worth 0.219",
+            "    state (3,0): entering is not a best response at q=1; profitable deviation worth 1",
+        ]
+        assert built == [QueueState(2, 0), QueueState(3, 0)]
 
     def test_never_entering_profile_exits_bad_input(self, tmp_path):
         # q = 0 at the empty queue (2, 0): the profile's costs diverge

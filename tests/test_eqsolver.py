@@ -1,13 +1,20 @@
 import dataclasses
+import gc
+import itertools
 import math
+import tracemalloc
 import warnings
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
-from bneck import eqsolver
+from bneck import eqsolver, model
 from bneck.eqsolver import (
     RootPolicy,
+    StateCheck,
+    StateDiagnostics,
+    VerificationReport,
     _certifies_no_entry,
     eq_closed_form_2p,
     profile_cost_table,
@@ -214,6 +221,150 @@ class TestRowCertificate:
     def test_equals_per_state_loop_n150(self):
         params = GameParams(150, 3.0)
         self._assert_same(solve_equilibrium(params), oracles.solve_equilibrium_per_state(params))
+
+
+class TestDiagnosticsView:
+    """``EquilibriumSolution.diagnostics`` behaves as the dict it replaced."""
+
+    @pytest.mark.parametrize("policy", list(RootPolicy))
+    def test_mapping_contract(self, policy):
+        params = GameParams(40, 3.0)
+        got = solve_equilibrium(params, policy).diagnostics
+        want = oracles.solve_equilibrium_per_state(params, policy).diagnostics
+        assert isinstance(want, dict) and isinstance(got, Mapping)
+        assert got == want and want == got and dict(got) == want
+        assert got != {**want, S(2, 0): StateDiagnostics(9, 0.0)}
+        assert repr(got) == repr(want)
+        assert len(got) == len(want) == 40 * 41 // 2
+        assert list(got) == list(want) == enumerate_states(40)
+        assert all(s in got and got[s] == want[s] for s in want)
+        for state in (S(0, 0), S(0, 3), S(2, 39), S(40, 1), S(41, 0), S(1, 40)):
+            assert state not in got
+            with pytest.raises(KeyError):
+                got[state]
+        assert got.get(S(0, 1)) is None
+        with pytest.raises(TypeError):
+            got[S(2, 0)] = StateDiagnostics(0, 0.0)
+        with pytest.raises(ValueError):
+            got._a[2, 0] = 1.0
+
+    @pytest.mark.parametrize("w", [2.5, 3.0, 1e18])
+    def test_prefix_view(self, w):
+        big = solve_equilibrium(GameParams(40, w)).diagnostics
+        for n in (2, 17, 40):
+            view = big.prefix(n)
+            want = dict(itertools.islice(big.items(), n * (n + 1) // 2))
+            assert view == want and list(view) == list(want)
+            assert repr(view) == repr(want) and len(view) == len(want)
+            assert S(n + 1, 0) not in view and S(1, n) not in view
+            assert view == solve_equilibrium(GameParams(n, w)).diagnostics
+
+
+def _eager_checks(profile, params, tol=1e-9):
+    """``verify_profile``'s checks, built at once from the columns of ``_check_states``."""
+    ms, ks = model._decision_states(params.n)
+    *fields, reasons = eqsolver._check_states(profile, params, ms, ks, tol)[2:]
+    why = [reasons.get(j, "") for j in range(len(ms))]
+    states = map(QueueState, ms.tolist(), ks.tolist())
+    return tuple(map(StateCheck, states, *(a.tolist() for a in fields), why))
+
+
+class TestColumnarReport:
+    """A report keeps its check arrays: ``checks`` is the tuple the verifiers used to build."""
+
+    # verify_profile of this G(3; 3) profile, recorded before the checks were kept as arrays
+    PROFILE3 = {S(1, 0): 1.0, S(1, 1): 1.0, S(1, 2): 1.0, S(2, 0): 0.6, S(2, 1): 0.0, S(3, 0): 1.0}
+    CHECKS3 = (
+        "(StateCheck(state=QueueState(m=2, k=0), q=0.6, cost=1.119047619047619, "
+        "enter_cost=0.8999999999999999, wait_cost=1.6666666666666667, residual=0.7666666666666668, "
+        "passed=False, reason='not indifferent at interior q=0.6; profitable deviation worth 0.219'), "
+        "StateCheck(state=QueueState(m=2, k=1), q=0.0, cost=2.119047619047619, enter_cost=3.0, "
+        "wait_cost=2.119047619047619, residual=0.0, passed=True, reason=''), "
+        "StateCheck(state=QueueState(m=3, k=0), q=1.0, cost=3.0, enter_cost=3.0, wait_cost=2.0, "
+        "residual=1.0, passed=False, reason='entering is not a best response at q=1; "
+        "profitable deviation worth 1'))"
+    )
+
+    def test_failing_profile(self):
+        params = GameParams(3, 3.0)
+        report = verify_profile(EntryProfile(self.PROFILE3), params)
+        assert report.failing_states == [S(2, 0), S(3, 0)]
+        assert report.passed is False and report.worst_residual == 1.0
+        assert repr(report.checks) == self.CHECKS3
+        again = VerificationReport(params=params, checks=report.checks, passed=False, worst_residual=1.0)
+        assert again == report and repr(again) == repr(report)
+        assert again.failing_states == report.failing_states
+
+    @pytest.mark.parametrize("n, w", [(12, 3.0), (40, 10.0), (30, 1.5)])
+    def test_checks_equal_eager_build(self, n, w):
+        params = GameParams(n, w)
+        rng = np.random.default_rng(n)
+        profile = _perturbed(
+            solve_equilibrium(params).profile,
+            {s: float(rng.random()) for s in enumerate_states(n) if s.m >= 2 and rng.random() < 0.3},
+        )
+        report = verify_profile(profile, params)
+        want = _eager_checks(profile, params)
+        assert report.failing_states == [c.state for c in want if not c.passed]
+        assert report.checks == want and repr(report.checks) == repr(want)
+        assert report.passed == all(c.passed for c in want)
+        assert report.worst_residual == max(0.0, *(c.residual for c in want))
+
+    def test_floor_failures_come_last(self):
+        sol = solve_equilibrium(GameParams(5, 3.0))
+        costs = dict(sol.per_player.values)
+        costs[S(3, 1)] = 2.5
+        costs[S(2, 2)] = 3.0 - 1e-12  # within tol of the floor
+        costs[S(1, 3)] = 2.0
+        bad = dataclasses.replace(sol, per_player=CostTable(CostRole.PER_OUTSIDE_PLAYER, costs))
+        report = verify_equilibrium(bad)
+        assert report.failing_states == [S(1, 3), S(3, 1)]
+        assert report.passed is False and report.worst_residual == 1.0
+        head = _eager_checks(sol.profile, sol.params)
+        assert len(report.checks) == len(head) + 2 and report.checks[: len(head)] == head
+        assert repr(report.checks[-2:]) == (
+            "(StateCheck(state=QueueState(m=1, k=3), q=1.0, cost=2.0, enter_cost=nan, wait_cost=nan, "
+            "residual=1.0, passed=False, reason='per-player cost below floor 3'), "
+            "StateCheck(state=QueueState(m=3, k=1), q=0.06085913693096423, cost=2.5, enter_cost=nan, "
+            "wait_cost=nan, residual=0.5, passed=False, reason='per-player cost below floor 3'))"
+        )
+
+    def test_verdicts_build_no_checks(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(eqsolver, "StateCheck", lambda *a: built.append(a[0]) or StateCheck(*a))
+        sol = solve_equilibrium(GameParams(60, 3.0))
+        report = verify_equilibrium(sol)
+        assert report.passed and report.failing_states == [] and report.worst_residual >= 0.0
+        assert built == []
+        # no state moves to (n, 0), so only it fails
+        report = verify_profile(_perturbed(sol.profile, {S(60, 0): 0.5}), sol.params)
+        assert report.failing_states == built == [S(60, 0)]
+
+
+class TestColumnarMemory:
+    def test_solution_and_verify_memory(self):
+        # the state cache is shared by every game, so it is warmed first;
+        # before the diagnostics and checks were kept as arrays the solution
+        # retained 2.2 MB and verify_equilibrium peaked at 3.9 MB
+        params = GameParams(150, 3.0)
+        model._states(150)
+        solve_equilibrium(params)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol = solve_equilibrium(params)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            report = verify_equilibrium(sol)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert retained < 1.0e6
+        assert peak < 3.7e6 / 2
 
 
 class TestClosedForm2p:

@@ -142,6 +142,19 @@ class TestBinomMatrix:
         assert np.array_equal(model._Pmf(m).rows(qs), oracles.binom_matrix_plain(m, qs))
 
 
+class TestExpInto:
+    def test_out_may_be_logv(self):
+        # m = 87, q = 1e-12: most of the degree-86 row lies below the exp
+        # floor, so the masked path runs
+        pmf = model._Pmf(86)
+        logv = pmf.log_into(*pmf.log_columns(np.array([1e-12])), np.empty((1, 87)), np.empty((1, 87)))
+        want = model._exp_into(logv, np.empty_like(logv))
+        assert 8 * np.count_nonzero(want) <= 7 * want.size
+        got = model._exp_into(logv, logv)
+        assert got is logv
+        assert np.array_equal(got, want)
+
+
 class TestSuccessors:
     @pytest.mark.parametrize("w", [3.0, 100.0])
     def test_block_is_successor_values_past_slot_0(self, w):
